@@ -84,34 +84,6 @@ timedRun(const core::CampaignConfig &config, bool checkpoint)
     return timed;
 }
 
-bool
-resultsIdentical(const core::ReplicatedCampaignResult &a,
-                 const core::ReplicatedCampaignResult &b)
-{
-    if (a.replicates.size() != b.replicates.size())
-        return false;
-    for (size_t r = 0; r < a.replicates.size(); ++r) {
-        const auto &ra = a.replicates[r].sessions;
-        const auto &rb = b.replicates[r].sessions;
-        if (ra.size() != rb.size())
-            return false;
-        for (size_t s = 0; s < ra.size(); ++s) {
-            const core::SessionResult &x = ra[s];
-            const core::SessionResult &y = rb[s];
-            if (x.runs != y.runs ||
-                x.upsetsDetected != y.upsetsDetected ||
-                x.rawUpsetEvents != y.rawUpsetEvents ||
-                x.fluence != y.fluence ||
-                x.events.sdcSilent != y.events.sdcSilent ||
-                x.events.sdcNotified != y.events.sdcNotified ||
-                x.events.appCrash != y.events.appCrash ||
-                x.events.sysCrash != y.events.sysCrash)
-                return false;
-        }
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -130,7 +102,7 @@ main(int argc, char **argv)
     const Timed off = timedRun(config, false);
     const Timed on = timedRun(config, true);
 
-    const bool identical = resultsIdentical(off.result, on.result);
+    const bool identical = off.result.replicates == on.result.replicates;
     const double speedup = off.seconds / on.seconds;
     const double units = static_cast<double>(
         config.sessions.size() * replicates);

@@ -160,7 +160,7 @@ runCampaign(const core::CampaignConfig &config)
     core::ParallelRunConfig run;
     run.jobs = benchJobs();
     core::ParallelCampaignRunner runner(config, run);
-    return runner.execute().sessions;
+    return runner.executeAll().replicates.front().sessions;
 }
 
 /** Run the three 2.4 GHz sessions (980/930/920 mV). */

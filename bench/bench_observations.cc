@@ -15,11 +15,7 @@ main()
     using namespace xser;
     bench::banner("Scorecard: the paper's nine Observations");
 
-    const double scale = bench::campaignScaleFromEnv(bench::defaultScale);
-    core::BeamCampaign campaign(
-        core::BeamCampaign::paperCampaign(scale, 0x5e5510ULL));
-    const core::CampaignResult result = campaign.execute();
-
+    const core::CampaignResult result{bench::runPaperSessions()};
     core::ObservationChecker checker(result);
     const auto verdicts = checker.evaluate();
     std::printf("%s\n", core::ObservationChecker::format(verdicts)

@@ -32,26 +32,6 @@ struct ScalingPoint {
     core::ReplicatedCampaignResult result;
 };
 
-bool
-aggregatesIdentical(const core::ReplicatedCampaignResult &a,
-                    const core::ReplicatedCampaignResult &b)
-{
-    if (a.sessions.size() != b.sessions.size())
-        return false;
-    for (size_t s = 0; s < a.sessions.size(); ++s) {
-        const core::SessionAggregate &x = a.sessions[s];
-        const core::SessionAggregate &y = b.sessions[s];
-        if (x.runs != y.runs || x.fluence != y.fluence ||
-            x.upsetsDetected != y.upsetsDetected ||
-            x.rawUpsetEvents != y.rawUpsetEvents ||
-            x.events.total() != y.events.total() ||
-            x.fitTotal.mean() != y.fitTotal.mean() ||
-            x.fitTotal.variance() != y.fitTotal.variance())
-            return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -83,8 +63,8 @@ main(int argc, char **argv)
 
     bool identical = true;
     for (size_t i = 1; i < points.size(); ++i)
-        identical = identical && aggregatesIdentical(points[0].result,
-                                                     points[i].result);
+        identical = identical && points[0].result.replicates ==
+                                     points[i].result.replicates;
 
     core::TablePrinter table({"workers", "seconds", "speedup"});
     for (const auto &point : points) {

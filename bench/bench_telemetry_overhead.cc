@@ -57,26 +57,6 @@ timedRun(const core::CampaignConfig &config, bool metrics)
     return timed;
 }
 
-bool
-aggregatesIdentical(const core::ReplicatedCampaignResult &a,
-                    const core::ReplicatedCampaignResult &b)
-{
-    if (a.sessions.size() != b.sessions.size())
-        return false;
-    for (size_t s = 0; s < a.sessions.size(); ++s) {
-        const core::SessionAggregate &x = a.sessions[s];
-        const core::SessionAggregate &y = b.sessions[s];
-        if (x.runs != y.runs || x.fluence != y.fluence ||
-            x.upsetsDetected != y.upsetsDetected ||
-            x.rawUpsetEvents != y.rawUpsetEvents ||
-            x.events.total() != y.events.total() ||
-            x.fitTotal.mean() != y.fitTotal.mean() ||
-            x.fitTotal.variance() != y.fitTotal.variance())
-            return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -103,9 +83,9 @@ main(int argc, char **argv)
     on.seconds = std::min(on.seconds, on2.seconds);
 
     const bool identical =
-        aggregatesIdentical(off.result, on.result) &&
-        aggregatesIdentical(off.result, off2.result) &&
-        aggregatesIdentical(off.result, on2.result);
+        off.result.replicates == on.result.replicates &&
+        off.result.replicates == off2.result.replicates &&
+        off.result.replicates == on2.result.replicates;
     const double ratio = on.seconds / off.seconds;
 
     std::printf("metrics off: %.2f s (best of 2)\n", off.seconds);

@@ -4,13 +4,13 @@
  * four-session campaign in three modes:
  *
  *   off       null sink everywhere (the shipping default);
- *   buffered  per-unit TraceBuffers filled but never written;
- *   written   buffers encoded and merged into an .xtrace file.
+ *   buffered  per-unit TraceBuffers filled and encoded, never written;
+ *   written   the encoded unit sections merged into an .xtrace file.
  *
  * Reports wall-clock per mode and the slowdown relative to `off`, and
- * verifies that the campaign aggregates are bit-identical across all
+ * verifies that the campaign results are bit-identical across all
  * three -- tracing must observe the simulation, never perturb it.
- * Exits 1 on any aggregate mismatch.
+ * Exits 1 on any result mismatch.
  */
 
 #include <cstdio>
@@ -34,26 +34,6 @@ struct ModePoint {
     double seconds = 0.0;
     core::ReplicatedCampaignResult result;
 };
-
-bool
-aggregatesIdentical(const core::ReplicatedCampaignResult &a,
-                    const core::ReplicatedCampaignResult &b)
-{
-    if (a.sessions.size() != b.sessions.size())
-        return false;
-    for (size_t s = 0; s < a.sessions.size(); ++s) {
-        const core::SessionAggregate &x = a.sessions[s];
-        const core::SessionAggregate &y = b.sessions[s];
-        if (x.runs != y.runs || x.fluence != y.fluence ||
-            x.upsetsDetected != y.upsetsDetected ||
-            x.rawUpsetEvents != y.rawUpsetEvents ||
-            x.events.total() != y.events.total() ||
-            x.fitTotal.mean() != y.fitTotal.mean() ||
-            x.fitTotal.variance() != y.fitTotal.variance())
-            return false;
-    }
-    return true;
-}
 
 ModePoint
 timedRun(const char *mode, const core::CampaignConfig &config,
@@ -124,8 +104,8 @@ main(int argc, char **argv)
 
     bool identical = true;
     for (size_t i = 1; i < points.size(); ++i)
-        identical = identical && aggregatesIdentical(points[0].result,
-                                                     points[i].result);
+        identical = identical && points[0].result.replicates ==
+                                     points[i].result.replicates;
     std::printf("aggregates bit-identical across modes: %s\n",
                 identical ? "yes" : "NO -- TRACING PERTURBED RESULTS");
 

@@ -8,9 +8,19 @@
 #include <cstdlib>
 #include <thread>
 
+#include "core/beam_campaign.hh"
+#include "core/parallel_campaign.hh"
 #include "sim/logging.hh"
+#include "trace/trace_buffer.hh"
 
 namespace xser::cli {
+
+namespace {
+
+/** Upper bound for --trace-buffer-events (2^30 events = ~32 GB). */
+constexpr uint64_t maxTraceBufferEvents = uint64_t(1) << 30;
+
+} // namespace
 
 Args
 Args::parse(int argc, const char *const *argv)
@@ -116,6 +126,57 @@ Args::keys() const
     for (const auto &[key, value] : options_)
         keys.push_back(key);
     return keys;
+}
+
+bool
+onOffFlag(const Args &args, const char *name)
+{
+    const std::string value = args.get(name, "on");
+    if (value == "on")
+        return true;
+    if (value == "off")
+        return false;
+    fatal(msg("option --", name, " expects 'on' or 'off'"));
+    return true;
+}
+
+std::string
+pathOption(const Args &args, const char *name)
+{
+    const std::string path = args.get(name, "");
+    if (args.has(name) && path.empty())
+        fatal(msg("option --", name, " expects a file path"));
+    return path;
+}
+
+uint64_t
+traceBufferEvents(const Args &args)
+{
+    return args.getCount("trace-buffer-events",
+                         trace::TraceBuffer::defaultMaxEvents, 1,
+                         maxTraceBufferEvents);
+}
+
+core::CampaignParams
+campaignParams(const Args &args)
+{
+    core::CampaignParams params;
+    params.scale = args.getDouble("scale", params.scale);
+    if (!core::validCampaignScale(params.scale))
+        fatal(msg("option --scale expects a number in (0, ",
+                  core::maxCampaignScale, "], got '",
+                  args.get("scale", ""), "'"));
+    params.seed = args.getUint("seed", params.seed);
+    params.replicates = static_cast<uint32_t>(args.getCount(
+        "replicates", 1, 1, core::maxCampaignReplicates));
+    params.checkpoint = onOffFlag(args, "checkpoint");
+    params.fastpath = onOffFlag(args, "fastpath");
+    params.traceBufferEvents = traceBufferEvents(args);
+    params.wantTrace = args.has("trace");
+    params.wantMetrics = args.has("metrics");
+    params.configHash =
+        core::campaignConfigHash(core::buildCampaign(params));
+    return params;
 }
 
 } // namespace xser::cli

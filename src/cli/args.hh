@@ -12,6 +12,10 @@
 #include <string>
 #include <vector>
 
+namespace xser::core {
+struct CampaignParams;
+} // namespace xser::core
+
 namespace xser::cli {
 
 /**
@@ -64,6 +68,27 @@ class Args
     std::string command_;
     std::map<std::string, std::string> options_;
 };
+
+/** Parse an on|off option, default on (fatal on anything else). */
+bool onOffFlag(const Args &args, const char *name);
+
+/**
+ * File path given to a --name option: empty when the option is absent,
+ * fatal when it is given without a path.
+ */
+std::string pathOption(const Args &args, const char *name);
+
+/** --trace-buffer-events: per-unit trace capacity, range-checked. */
+uint64_t traceBufferEvents(const Args &args);
+
+/**
+ * The campaign options `xser campaign` and `xser-client run` share --
+ * --scale, --seed, --replicates, --checkpoint, --fastpath,
+ * --trace-buffer-events, and whether --trace / --metrics were given --
+ * with configHash filled from the rebuilt campaign. Fatal on a value
+ * outside the bounds core/beam_campaign.hh defines.
+ */
+core::CampaignParams campaignParams(const Args &args);
 
 } // namespace xser::cli
 

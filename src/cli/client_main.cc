@@ -15,17 +15,15 @@
  * --trace / --metrics files locally, so its observable output is
  * byte-identical to a local `xser campaign` run with the same options
  * (the CI determinism gate cmp's exactly this). The campaign options
- * deliberately mirror `xser campaign`.
+ * are `xser campaign`'s, parsed by the same cli::campaignParams.
  */
 
 #include <cstdio>
 #include <string>
 
 #include "cli/args.hh"
-#include "core/parallel_campaign.hh"
 #include "service/client.hh"
 #include "sim/logging.hh"
-#include "trace/trace_buffer.hh"
 
 namespace {
 
@@ -50,46 +48,6 @@ printUsage()
         "              --port P --id CAMPAIGN\n"
         "  shutdown  ask the server to drain and exit\n"
         "              --port P\n");
-}
-
-/** Parse an on|off option with a default (fatal on anything else). */
-bool
-onOffFlag(const cli::Args &args, const char *name)
-{
-    const std::string value = args.get(name, "on");
-    if (value == "on")
-        return true;
-    if (value == "off")
-        return false;
-    fatal(msg("option --", name, " expects 'on' or 'off'"));
-    return true;
-}
-
-/** Upper bound for --trace-buffer-events (matches `xser campaign`). */
-constexpr uint64_t maxTraceBufferEvents = uint64_t(1) << 30;
-
-service::CampaignParams
-campaignParams(const cli::Args &args)
-{
-    service::CampaignParams params;
-    params.scale = args.getDouble("scale", 0.22);
-    params.seed = args.getUint("seed", 0x5e5510ULL);
-    params.replicates = static_cast<uint32_t>(
-        args.getCount("replicates", 1, 1, 1u << 20));
-    params.checkpoint = onOffFlag(args, "checkpoint");
-    params.fastpath = onOffFlag(args, "fastpath");
-    params.traceBufferEvents =
-        args.getCount("trace-buffer-events",
-                      trace::TraceBuffer::defaultMaxEvents, 1,
-                      maxTraceBufferEvents);
-    params.wantTrace = args.has("trace");
-    params.wantMetrics = args.has("metrics");
-    // Hash the locally rebuilt config: if the server's build disagrees
-    // it refuses the campaign instead of returning skewed bytes.
-    const core::CampaignConfig config =
-        service::buildCampaign(params);
-    params.configHash = core::campaignConfigHash(config);
-    return params;
 }
 
 uint16_t
@@ -120,17 +78,9 @@ main(int argc, char **argv)
     if (command == "run") {
         config.port = requiredPort(args);
         config.command = service::ClientCommand::Run;
-        config.params = campaignParams(args);
-        if (args.has("trace")) {
-            config.tracePath = args.get("trace", "");
-            if (config.tracePath.empty())
-                fatal("option --trace expects a file path");
-        }
-        if (args.has("metrics")) {
-            config.metricsPath = args.get("metrics", "");
-            if (config.metricsPath.empty())
-                fatal("option --metrics expects a file path");
-        }
+        config.params = cli::campaignParams(args);
+        config.tracePath = cli::pathOption(args, "trace");
+        config.metricsPath = cli::pathOption(args, "metrics");
         config.detach = args.has("detach");
         config.progress = args.has("progress");
         return service::runClient(config);

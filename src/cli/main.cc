@@ -137,9 +137,6 @@ cmdCharacterize(const cli::Args &args)
     return 0;
 }
 
-/** Upper bound for --trace-buffer-events (2^30 events = ~32 GB). */
-constexpr uint64_t maxTraceBufferEvents = uint64_t(1) << 30;
-
 /**
  * Open the --trace writer, if requested. Opening happens here, before
  * any simulation time is spent, so an unwritable path fails fast.
@@ -147,44 +144,10 @@ constexpr uint64_t maxTraceBufferEvents = uint64_t(1) << 30;
 std::unique_ptr<trace::TraceWriter>
 makeTraceWriter(const cli::Args &args)
 {
-    if (!args.has("trace"))
+    const std::string path = cli::pathOption(args, "trace");
+    if (path.empty())
         return nullptr;
-    const std::string path = args.get("trace", "");
-    if (path.empty())
-        fatal("option --trace expects a file path");
     return std::make_unique<trace::TraceWriter>(path);
-}
-
-/** Path given to --metrics, or empty when the flag is absent. */
-std::string
-metricsPath(const cli::Args &args)
-{
-    if (!args.has("metrics"))
-        return "";
-    const std::string path = args.get("metrics", "");
-    if (path.empty())
-        fatal("option --metrics expects a file path");
-    return path;
-}
-
-/** Parse an on|off option with a default (fatal on anything else). */
-bool
-onOffFlag(const cli::Args &args, const char *name)
-{
-    const std::string value = args.get(name, "on");
-    if (value == "on")
-        return true;
-    if (value == "off")
-        return false;
-    fatal(msg("option --", name, " expects 'on' or 'off'"));
-    return true;
-}
-
-/** Parse --fastpath on|off (default on). */
-bool
-fastPathFlag(const cli::Args &args)
-{
-    return onOffFlag(args, "fastpath");
 }
 
 int
@@ -194,7 +157,7 @@ cmdSession(const cli::Args &args)
         fatal("session requires --pmd <millivolts>");
 
     const telemetry::Stopwatch elapsed;
-    const std::string metrics_path = metricsPath(args);
+    const std::string metrics_path = cli::pathOption(args, "metrics");
     core::SessionConfig config;
     config.point.pmdMillivolts = args.getDouble("pmd", 980.0);
     config.point.socMillivolts =
@@ -207,16 +170,14 @@ cmdSession(const cli::Args &args)
     config.warmupRounds = static_cast<unsigned>(
         args.getUint("warmup", config.warmupRounds));
     config.seed = args.getUint("seed", 0x5e5510ULL);
-    const bool fastpath = fastPathFlag(args);
+    const bool fastpath = cli::onOffFlag(args, "fastpath");
     config.beam.skipAhead = fastpath;
 
     std::unique_ptr<trace::TraceWriter> writer = makeTraceWriter(args);
     std::unique_ptr<trace::TraceBuffer> buffer;
     if (writer) {
         buffer = std::make_unique<trace::TraceBuffer>(
-            args.getCount("trace-buffer-events",
-                          trace::TraceBuffer::defaultMaxEvents, 1,
-                          maxTraceBufferEvents));
+            cli::traceBufferEvents(args));
         buffer->info.pmdMillivolts = config.point.pmdMillivolts;
         buffer->info.socMillivolts = config.point.socMillivolts;
         buffer->info.frequencyHz = config.point.frequencyHz;
@@ -240,10 +201,10 @@ cmdSession(const cli::Args &args)
     if (writer) {
         core::CampaignConfig one;
         one.sessions.push_back(config);
-        writer->writeHeader(config.seed, core::campaignConfigHash(one),
-                            platform.memory().traceArrayTable(), 1);
-        writer->appendUnit(*buffer);
-        writer->finish();
+        writer->write(trace::TraceWriter::encodeHeader(
+                          config.seed, core::campaignConfigHash(one),
+                          platform.memory().traceArrayTable(), 1) +
+                      trace::TraceWriter::encodeUnit(*buffer));
         std::printf("trace: %llu events (%llu dropped) -> %s\n",
                     static_cast<unsigned long long>(
                         buffer->events().size()),
@@ -287,24 +248,16 @@ int
 cmdCampaign(const cli::Args &args)
 {
     const telemetry::Stopwatch elapsed;
-    const double scale = args.getDouble("scale", 0.22);
-    const uint64_t seed = args.getUint("seed", 0x5e5510ULL);
-    const std::string metrics_path = metricsPath(args);
+    const core::CampaignParams params = cli::campaignParams(args);
+    const std::string metrics_path = cli::pathOption(args, "metrics");
     core::ParallelRunConfig run;
     run.jobs = args.getJobs("jobs", 1);
-    run.replicates =
-        static_cast<unsigned>(args.getUint("replicates", 1));
-    run.seed = seed;
-    run.checkpoint = onOffFlag(args, "checkpoint");
-    run.traceBufferEvents =
-        args.getCount("trace-buffer-events",
-                      trace::TraceBuffer::defaultMaxEvents, 1,
-                      maxTraceBufferEvents);
+    run.replicates = params.replicates;
+    run.seed = params.seed;
+    run.checkpoint = params.checkpoint;
+    run.traceBufferEvents = params.traceBufferEvents;
     std::unique_ptr<trace::TraceWriter> writer = makeTraceWriter(args);
-    core::CampaignConfig campaign =
-        core::BeamCampaign::paperCampaign(scale, seed);
-    const bool fastpath = fastPathFlag(args);
-    core::setFastPath(campaign, fastpath);
+    const core::CampaignConfig campaign = core::buildCampaign(params);
 
     std::unique_ptr<telemetry::MetricRegistry> registry;
     if (!metrics_path.empty()) {
@@ -330,29 +283,14 @@ cmdCampaign(const cli::Args &args)
         runner.executeAll(writer.get());
     progress.finish();
 
-    if (registry != nullptr) {
-        core::ManifestRunInfo info;
-        info.tool = "xser campaign";
-        info.configHash = core::campaignConfigHash(campaign);
-        info.seed = seed;
-        info.scale = scale;
-        info.sessions =
-            static_cast<unsigned>(campaign.sessions.size());
-        info.replicates = run.replicates;
-        info.fastpath = fastpath;
-        info.checkpoint = run.checkpoint;
+    if (registry != nullptr)
         core::writeManifestFile(
             metrics_path,
-            core::renderRunManifest(info, sweep.sessions,
-                                    registry.get(), run.jobs,
-                                    elapsed.seconds()));
-    }
-    if (writer)
-        std::printf("%s",
-                    core::formatTraceLine(writer->unitsWritten(),
-                                          writer->path())
-                        .c_str());
-    std::printf("%s", core::formatCampaignReport(sweep).c_str());
+            core::renderCampaignManifest(params, sweep, registry.get(),
+                                         run.jobs, elapsed.seconds()));
+    std::printf("%s", core::renderCampaignReport(
+                          params, args.get("trace", ""), sweep)
+                          .c_str());
     if (args.has("csv"))
         core::writeFile(
             args.get("csv", ""),

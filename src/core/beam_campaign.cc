@@ -1,6 +1,6 @@
 /**
  * @file
- * BeamCampaign implementation.
+ * Campaign configuration factories.
  */
 
 #include "core/beam_campaign.hh"
@@ -11,32 +11,12 @@
 
 namespace xser::core {
 
-BeamCampaign::BeamCampaign(const CampaignConfig &config) : config_(config)
-{
-    if (config_.sessions.empty())
-        fatal("campaign needs at least one session");
-}
-
 void
 setFastPath(CampaignConfig &config, bool enabled)
 {
     config.platform.memory.fastPath = enabled;
     for (auto &session : config.sessions)
         session.beam.skipAhead = enabled;
-}
-
-CampaignResult
-BeamCampaign::execute()
-{
-    CampaignResult result;
-    for (const auto &session_config : config_.sessions) {
-        // Fresh silicon state per session, same physical chip
-        // (identical platform config/seed -> same process variation).
-        cpu::XGene2Platform platform(config_.platform);
-        TestSession session(&platform, session_config);
-        result.sessions.push_back(session.execute());
-    }
-    return result;
 }
 
 namespace {
@@ -58,7 +38,8 @@ paperSession(const volt::OperatingPoint &point, double max_fluence,
 CampaignConfig
 BeamCampaign::paperCampaign(double scale, uint64_t seed)
 {
-    XSER_ASSERT(scale > 0.0, "campaign scale must be positive");
+    XSER_ASSERT(validCampaignScale(scale),
+                "campaign scale out of range");
     const auto events = [scale](uint64_t base) {
         return std::max<uint64_t>(
             8, static_cast<uint64_t>(static_cast<double>(base) * scale));
@@ -83,6 +64,28 @@ BeamCampaign::campaign24GHz(double scale, uint64_t seed)
     CampaignConfig config = paperCampaign(scale, seed);
     config.sessions.pop_back();
     return config;
+}
+
+const char *
+campaignParamsProblem(const CampaignParams &params)
+{
+    if (!validCampaignScale(params.scale))
+        return "scale out of range";
+    if (params.replicates == 0 ||
+        params.replicates > maxCampaignReplicates)
+        return "replicates out of range";
+    if (params.wantTrace && params.traceBufferEvents == 0)
+        return "zero-event trace buffer";
+    return nullptr;
+}
+
+CampaignConfig
+buildCampaign(const CampaignParams &params)
+{
+    CampaignConfig campaign =
+        BeamCampaign::paperCampaign(params.scale, params.seed);
+    setFastPath(campaign, params.fastpath);
+    return campaign;
 }
 
 } // namespace xser::core

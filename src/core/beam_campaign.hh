@@ -1,13 +1,17 @@
 /**
  * @file
- * A beam campaign: an ordered set of test sessions on fresh platform
- * instances (the board is power-cycled between sessions), with a
- * factory for the paper's exact four-session campaign (Table 2).
+ * Campaign configuration: an ordered set of test sessions, each run on
+ * a freshly constructed platform (the board is power-cycled between
+ * sessions), the factory for the paper's exact four-session campaign
+ * (Table 2), and the parameters that rebuild that campaign anywhere --
+ * in the CLI, in a worker process, or in the campaign service.
+ * core::ParallelCampaignRunner executes what these build.
  */
 
 #ifndef XSER_CORE_BEAM_CAMPAIGN_HH
 #define XSER_CORE_BEAM_CAMPAIGN_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "core/test_session.hh"
@@ -32,26 +36,22 @@ void setFastPath(CampaignConfig &config, bool enabled);
 /** Campaign outcome: one result per session, in order. */
 struct CampaignResult {
     std::vector<SessionResult> sessions;
+
+    bool operator==(const CampaignResult &) const = default;
 };
 
-/**
- * Runs sessions in order, each against a freshly constructed platform.
- */
+/** Factories for the paper's campaign configurations. */
 class BeamCampaign
 {
   public:
-    explicit BeamCampaign(const CampaignConfig &config);
-
-    /** Execute all sessions. */
-    CampaignResult execute();
-
     /**
      * The paper's four Table 2 sessions: 980/930/920 mV @ 2.4 GHz and
      * 790 mV @ 900 MHz, with the Section 3.5 stop criteria.
      *
      * @param scale Scales the stop criteria (fluence caps and event
      *        targets) to trade statistical tightness for wall time;
-     *        1.0 reproduces the paper's targets.
+     *        1.0 reproduces the paper's targets. Must satisfy
+     *        validCampaignScale().
      * @param seed Campaign seed.
      */
     static CampaignConfig paperCampaign(double scale = 1.0,
@@ -60,10 +60,53 @@ class BeamCampaign
     /** Only the three 2.4 GHz sessions (most figures use these). */
     static CampaignConfig campaign24GHz(double scale = 1.0,
                                         uint64_t seed = 0x5e5510ULL);
-
-  private:
-    CampaignConfig config_;
 };
+
+/** Most whole-campaign replicates one campaign may ask for. */
+constexpr uint32_t maxCampaignReplicates = uint32_t(1) << 20;
+
+/**
+ * Largest stop-criteria scale: the paper's biggest event target (141)
+ * times this still fits the uint64_t event targets of paperCampaign.
+ */
+constexpr double maxCampaignScale = 1e17;
+
+/** True for a scale in (0, maxCampaignScale]; false for NaN. */
+constexpr bool
+validCampaignScale(double scale)
+{
+    return scale > 0.0 && scale <= maxCampaignScale;
+}
+
+/**
+ * Everything needed to rebuild a paper campaign and run it: what
+ * `xser campaign` and `xser-client run` parse from their options, and
+ * what crosses the wire to the campaign service and its workers.
+ * `configHash` is the campaignConfigHash of buildCampaign(*this); a
+ * receiver whose own rebuild hashes differently must refuse the
+ * campaign (build skew would silently break determinism).
+ */
+struct CampaignParams {
+    double scale = 0.22;
+    uint64_t seed = 0x5e5510ULL;
+    uint32_t replicates = 1;
+    bool checkpoint = true;
+    bool fastpath = true;
+    uint64_t traceBufferEvents = 0;
+    bool wantTrace = false;
+    bool wantMetrics = false;
+    uint64_t configHash = 0;
+};
+
+/**
+ * Why `params` cannot describe a campaign -- a scale that fails
+ * validCampaignScale(), replicates outside [1, maxCampaignReplicates],
+ * or a trace request with a zero-event buffer -- or null when it can.
+ */
+const char *campaignParamsProblem(const CampaignParams &params);
+
+/** Rebuild the paper campaign these parameters describe. */
+CampaignConfig buildCampaign(const CampaignParams &params);
 
 } // namespace xser::core
 

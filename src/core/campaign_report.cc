@@ -355,13 +355,6 @@ formatFig13(const SessionResult &session_900mhz)
 }
 
 std::string
-formatTraceLine(uint64_t units, const std::string &path)
-{
-    return "trace: " + std::to_string(units) + " units -> " + path +
-           "\n";
-}
-
-std::string
 formatReplicateSummary(const ReplicatedCampaignResult &sweep)
 {
     std::string out = "=== replicate summary (" +
@@ -409,6 +402,20 @@ formatCampaignReport(const ReplicatedCampaignResult &sweep)
     if (sweep.replicates.size() > 1)
         out += formatReplicateSummary(sweep);
     return out;
+}
+
+std::string
+renderCampaignReport(const CampaignParams &params,
+                     const std::string &trace_path,
+                     const ReplicatedCampaignResult &sweep)
+{
+    std::string out;
+    if (params.wantTrace)
+        out = "trace: " +
+              std::to_string(sweep.replicates.size() *
+                             sweep.sessions.size()) +
+              " units -> " + trace_path + "\n";
+    return out + formatCampaignReport(sweep);
 }
 
 } // namespace xser::core

@@ -54,24 +54,31 @@ std::string formatFig12(const std::vector<SessionResult> &sessions_24ghz);
 /** Fig. 13: SDC FIT w/o vs w/ notification at 790 mV @ 900 MHz. */
 std::string formatFig13(const SessionResult &session_900mhz);
 
+struct CampaignParams;
 struct ReplicatedCampaignResult;
-
-/** The "trace: N units -> path" line printed above campaign reports. */
-std::string formatTraceLine(uint64_t units, const std::string &path);
 
 /** The replicate-summary table printed when replicates > 1. */
 std::string
 formatReplicateSummary(const ReplicatedCampaignResult &sweep);
 
 /**
- * The complete paper-campaign report (Table 2 through Fig. 13, plus
- * the replicate summary when replicates > 1), exactly as `xser
- * campaign` prints it. A single render function shared by the CLI and
- * the distributed campaign service keeps the two byte-identical --
- * the CI determinism gate `cmp`s their outputs.
+ * The complete paper-campaign report: Table 2 through Fig. 13, plus
+ * the replicate summary when replicates > 1.
  */
 std::string
 formatCampaignReport(const ReplicatedCampaignResult &sweep);
+
+/**
+ * What a paper campaign prints, exactly as `xser campaign` and
+ * `xser-client run` show it: a "trace: N units -> path" line when
+ * `params.wantTrace`, then formatCampaignReport(). The CLI and the
+ * campaign service both render through this one function, which
+ * keeps the two byte-identical -- the CI determinism gate `cmp`s
+ * their outputs.
+ */
+std::string renderCampaignReport(const CampaignParams &params,
+                                 const std::string &trace_path,
+                                 const ReplicatedCampaignResult &sweep);
 
 } // namespace xser::core
 

@@ -57,6 +57,8 @@ struct EventCounts {
         appCrash += other.appCrash;
         sysCrash += other.sysCrash;
     }
+
+    bool operator==(const EventCounts &) const = default;
 };
 
 } // namespace xser::core

@@ -7,11 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <thread>
 
-#include "core/shard_executor.hh"
-#include "core/test_session.hh"
+#include "mem/edac_reporter.hh"
+#include "mem/memory_system.hh"
 #include "sim/bytes.hh"
 #include "sim/hash.hh"
 #include "sim/logging.hh"
@@ -111,6 +110,41 @@ SessionAggregate::pooledFit(double confidence) const
     return FitCalculator::fromCounts(events, fluence, confidence);
 }
 
+ReplicatedCampaignResult
+mergeUnitOutcomes(const std::vector<UnitOutcome> &units,
+                  size_t num_sessions)
+{
+    const telemetry::ScopedPhase timer(telemetry::Phase::Merge);
+    ReplicatedCampaignResult merged;
+    merged.replicates.resize(units.size() / num_sessions);
+    merged.sessions.resize(num_sessions);
+    for (size_t unit = 0; unit < units.size(); ++unit) {
+        const SessionResult &result = units[unit].result;
+        merged.replicates[unit / num_sessions].sessions.push_back(result);
+        merged.sessions[unit % num_sessions].add(result);
+    }
+    return merged;
+}
+
+std::string
+encodeCampaignTrace(const CampaignConfig &config, uint64_t seed,
+                    const std::vector<UnitOutcome> &units)
+{
+    // The array table is a pure function of the platform config; a
+    // throwaway hierarchy provides it.
+    mem::EdacReporter reporter;
+    mem::MemorySystem memory(config.platform.memory, &reporter);
+    std::string file = trace::TraceWriter::encodeHeader(
+        seed, campaignConfigHash(config), memory.traceArrayTable(),
+        units.size());
+    for (const UnitOutcome &unit : units) {
+        telemetry::count(telemetry::Counter::TraceEventsMerged,
+                         unit.traceEventCount);
+        file += unit.traceBytes;
+    }
+    return file;
+}
+
 ParallelCampaignRunner::ParallelCampaignRunner(
     const CampaignConfig &config, const ParallelRunConfig &run)
     : config_(config), run_(run)
@@ -128,31 +162,14 @@ ParallelCampaignRunner::ParallelCampaignRunner(
                   " workers; size the registry to --jobs"));
 }
 
-std::vector<CampaignResult>
-ParallelCampaignRunner::run(unsigned count,
-                            trace::TraceWriter *trace_writer) const
+ReplicatedCampaignResult
+ParallelCampaignRunner::executeAll(trace::TraceWriter *trace_writer)
 {
     const size_t num_sessions = config_.sessions.size();
-    const size_t units = num_sessions * count;
-    const ShardExecutor executor(config_, run_.seed, run_.checkpoint);
-
-    // When tracing, every unit records into its own pre-allocated
-    // buffer slot -- workers never share a sink, so no synchronization
-    // and no scheduling-dependent interleaving.
+    const size_t units = num_sessions * run_.replicates;
     const bool tracing = trace_writer != nullptr || run_.collectTrace;
-    std::vector<std::unique_ptr<trace::TraceBuffer>> buffers;
-    if (tracing) {
-        buffers.reserve(units);
-        for (size_t unit = 0; unit < units; ++unit) {
-            const size_t session = unit % num_sessions;
-            auto buffer = std::make_unique<trace::TraceBuffer>(
-                run_.traceBufferEvents);
-            executor.stampBufferInfo(
-                *buffer, session,
-                static_cast<unsigned>(unit / num_sessions));
-            buffers.push_back(std::move(buffer));
-        }
-    }
+    const ShardExecutor executor(config_, run_.seed,
+                                 tracing ? run_.traceBufferEvents : 0);
 
     // The calling thread records into shard 0 for the serial phases
     // (trace write, merge) and the inline pool path; pool workers
@@ -197,7 +214,7 @@ ParallelCampaignRunner::run(unsigned count,
 
     // Phase 1 (checkpoint mode): one golden prefix per session, sealed
     // into an envelope. The prefix never consumes the session seed
-    // (see TestSession), so one snapshot serves all `count` replicate
+    // (see TestSession), so one snapshot serves all replicate
     // continuations -- this is what importance splitting buys: the
     // seed-independent work is paid num_sessions times instead of
     // `units` times.
@@ -214,13 +231,11 @@ ParallelCampaignRunner::run(unsigned count,
     // Phase 2: the (session, replicate) units -- continuations forked
     // from the checkpoints, or whole sessions when checkpointing is
     // off.
-    std::vector<SessionResult> slots(units);
+    std::vector<UnitOutcome> outcomes(units);
     run_pool(units, [&](size_t unit) {
-        const size_t replicate = unit / num_sessions;
         const size_t session = unit % num_sessions;
-        slots[unit] = executor.runUnitRecorded(
-            session, static_cast<unsigned>(replicate),
-            tracing ? buffers[unit].get() : nullptr,
+        outcomes[unit] = executor.runUnit(
+            session, static_cast<unsigned>(unit / num_sessions),
             run_.checkpoint ? &checkpoints[session] : nullptr);
         if (run_.progress != nullptr)
             run_.progress->tick();
@@ -229,51 +244,10 @@ ParallelCampaignRunner::run(unsigned count,
     if (trace_writer != nullptr) {
         const telemetry::ScopedPhase timer(
             telemetry::Phase::TraceWrite);
-        // Merge after the pool has drained, in canonical unit order --
-        // never completion order -- so the file bytes are independent
-        // of the worker count. The array table is a pure function of
-        // the platform config; a throwaway hierarchy provides it.
-        mem::EdacReporter reporter;
-        mem::MemorySystem memory(config_.platform.memory, &reporter);
-        trace_writer->writeHeader(run_.seed, campaignConfigHash(config_),
-                                  memory.traceArrayTable(), units);
-        for (const auto &buffer : buffers) {
-            telemetry::count(telemetry::Counter::TraceEventsMerged,
-                             buffer->events().size());
-            trace_writer->appendUnit(*buffer);
-        }
-        trace_writer->finish();
+        trace_writer->write(
+            encodeCampaignTrace(config_, run_.seed, outcomes));
     }
-
-    const telemetry::ScopedPhase timer(telemetry::Phase::Merge);
-    std::vector<CampaignResult> results(count);
-    for (size_t unit = 0; unit < units; ++unit)
-        results[unit / num_sessions].sessions.push_back(
-            std::move(slots[unit]));
-    return results;
-}
-
-CampaignResult
-ParallelCampaignRunner::execute(trace::TraceWriter *trace_writer)
-{
-    return std::move(run(1, trace_writer).front());
-}
-
-ReplicatedCampaignResult
-ParallelCampaignRunner::executeAll(trace::TraceWriter *trace_writer)
-{
-    ReplicatedCampaignResult result;
-    result.replicates = run(run_.replicates, trace_writer);
-    const telemetry::ShardScope scope(
-        run_.metrics != nullptr ? &run_.metrics->shard(0) : nullptr);
-    const telemetry::ScopedPhase timer(telemetry::Phase::Merge);
-    result.sessions.resize(config_.sessions.size());
-    // Canonical merge order: replicate-major, session-minor, always
-    // after the pool has drained -- never completion order.
-    for (const auto &replicate : result.replicates)
-        for (size_t s = 0; s < replicate.sessions.size(); ++s)
-            result.sessions[s].add(replicate.sessions[s]);
-    return result;
+    return mergeUnitOutcomes(outcomes, num_sessions);
 }
 
 } // namespace xser::core

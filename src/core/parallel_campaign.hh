@@ -1,19 +1,23 @@
 /**
  * @file
- * Multithreaded campaign execution with deterministic replay.
+ * Multithreaded campaign execution with deterministic replay, and the
+ * canonical merge every campaign path shares.
  *
  * A campaign's sessions are mutually independent (each runs on a
  * freshly constructed platform), and so are whole-campaign replicates
  * run for confidence-interval tightening. ParallelCampaignRunner
  * shards those (session, replicate) work units across a fixed-size
- * worker pool and merges the per-unit results in canonical index
+ * worker pool and merges the per-unit outcomes in canonical index
  * order, so the output is bit-identical for any worker count --
- * including one -- and for any scheduling of the workers.
+ * including one -- and for any scheduling of the workers. The
+ * campaign service (src/service) runs the same units in worker
+ * processes and finishes them with the same mergeUnitOutcomes() and
+ * encodeCampaignTrace().
  *
  * Determinism contract:
  *  - replicate 0 runs every session with the seed already present in
- *    its SessionConfig, so results match the sequential
- *    BeamCampaign::execute() bit for bit;
+ *    its SessionConfig, so it matches TestSession::execute() on a
+ *    fresh platform per session, bit for bit;
  *  - replicate r >= 1 reseeds session s with
  *    deriveStreamSeed(seed, s, r) (see sim/rng.hh), a pure function of
  *    the coordinate -- never of thread identity or completion order;
@@ -26,11 +30,13 @@
 #define XSER_CORE_PARALLEL_CAMPAIGN_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/beam_campaign.hh"
 #include "core/dcs_calculator.hh"
 #include "core/fit_calculator.hh"
+#include "core/shard_executor.hh"
 #include "stats/summary.hh"
 #include "trace/trace_buffer.hh"
 
@@ -56,8 +62,9 @@ struct ParallelRunConfig {
     /** Per-unit trace buffer capacity (events) when tracing. */
     uint64_t traceBufferEvents = trace::TraceBuffer::defaultMaxEvents;
     /**
-     * Buffer lifecycle events even without a TraceWriter (benchmarks
-     * use this to measure buffering cost separately from file I/O).
+     * Record and encode every unit's trace section even without a
+     * TraceWriter (benchmarks use this to measure tracing cost
+     * separately from assembling and writing the file).
      */
     bool collectTrace = false;
     /**
@@ -131,12 +138,30 @@ struct ReplicatedCampaignResult {
 };
 
 /**
+ * The canonical merge: regroup unit outcomes, indexed replicate-major
+ * (unit = replicate * num_sessions + session), into per-replicate
+ * results and fold each into its session's aggregate in that same
+ * order -- never completion order.
+ */
+ReplicatedCampaignResult
+mergeUnitOutcomes(const std::vector<UnitOutcome> &units,
+                  size_t num_sessions);
+
+/**
+ * A campaign's complete .xtrace bytes: the header (its array table
+ * taken from a throwaway MemorySystem built from the platform config)
+ * followed by every unit's encoded section in canonical unit order.
+ */
+std::string encodeCampaignTrace(const CampaignConfig &config,
+                                uint64_t seed,
+                                const std::vector<UnitOutcome> &units);
+
+/**
  * Executes a campaign's (session, replicate) units on a worker pool.
  *
  * Unit execution itself lives in core::ShardExecutor (the library
  * seam the distributed campaign service also drives); this class adds
- * the thread pool, the pre-allocated trace-buffer slots, and the
- * canonical post-drain merges.
+ * the thread pool and the pre-sized outcome slots.
  */
 class ParallelCampaignRunner
 {
@@ -145,24 +170,17 @@ class ParallelCampaignRunner
                            const ParallelRunConfig &run);
 
     /**
-     * Execute replicate 0 only (the BeamCampaign-equivalent run).
+     * Execute all replicates and merge.
      *
      * @param trace_writer Optional open writer; when set, each unit
      *        records into its own bounded buffer and the merged trace
      *        is written in canonical unit order after the pool drains,
      *        so the file is bit-identical for any worker count.
      */
-    CampaignResult execute(trace::TraceWriter *trace_writer = nullptr);
-
-    /** Execute all replicates and merge. See execute() for tracing. */
     ReplicatedCampaignResult
     executeAll(trace::TraceWriter *trace_writer = nullptr);
 
   private:
-    /** Execute `count` replicates and return them in index order. */
-    std::vector<CampaignResult>
-    run(unsigned count, trace::TraceWriter *trace_writer) const;
-
     CampaignConfig config_;
     ParallelRunConfig run_;
 };

@@ -98,6 +98,25 @@ renderRunManifest(const ManifestRunInfo &info,
     return json.take();
 }
 
+std::string
+renderCampaignManifest(const CampaignParams &params,
+                       const ReplicatedCampaignResult &sweep,
+                       const telemetry::MetricRegistry *registry,
+                       unsigned jobs, double elapsed_seconds)
+{
+    ManifestRunInfo info;
+    info.tool = "xser campaign";
+    info.configHash = params.configHash;
+    info.seed = params.seed;
+    info.scale = params.scale;
+    info.sessions = static_cast<unsigned>(sweep.sessions.size());
+    info.replicates = params.replicates;
+    info.fastpath = params.fastpath;
+    info.checkpoint = params.checkpoint;
+    return renderRunManifest(info, sweep.sessions, registry, jobs,
+                             elapsed_seconds);
+}
+
 void
 writeManifestFile(const std::string &path, const std::string &text)
 {

@@ -41,6 +41,17 @@ renderRunManifest(const ManifestRunInfo &info,
                   const telemetry::MetricRegistry *registry,
                   unsigned jobs, double elapsed_seconds);
 
+/**
+ * The manifest of a paper campaign: renderRunManifest() with the "run"
+ * section built from the campaign's parameters, so the CLI and the
+ * campaign service record the same run identically.
+ */
+std::string
+renderCampaignManifest(const CampaignParams &params,
+                       const ReplicatedCampaignResult &sweep,
+                       const telemetry::MetricRegistry *registry,
+                       unsigned jobs, double elapsed_seconds);
+
 /** Write `text` to `path`; fatal on I/O failure. */
 void writeManifestFile(const std::string &path,
                        const std::string &text);

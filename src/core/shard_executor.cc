@@ -1,10 +1,11 @@
 /**
  * @file
- * ShardExecutor implementation (moved from ParallelCampaignRunner so
- * the distributed service can run shards through the same code path).
+ * ShardExecutor implementation.
  */
 
 #include "core/shard_executor.hh"
+
+#include <memory>
 
 #include "core/checkpoint.hh"
 #include "core/parallel_campaign.hh"
@@ -13,13 +14,16 @@
 #include "sim/rng.hh"
 #include "sim/bytes.hh"
 #include "telemetry/metrics.hh"
+#include "trace/trace_writer.hh"
 
 namespace xser::core {
 
 ShardExecutor::ShardExecutor(const CampaignConfig &config,
-                             uint64_t base_seed, bool checkpoint)
+                             uint64_t base_seed,
+                             uint64_t trace_buffer_events)
     : config_(config), baseSeed_(base_seed),
-      configHash_(campaignConfigHash(config)), checkpoint_(checkpoint)
+      configHash_(campaignConfigHash(config)),
+      traceBufferEvents_(trace_buffer_events)
 {
     if (config_.sessions.empty())
         fatal("shard executor needs at least one session");
@@ -51,46 +55,27 @@ ShardExecutor::sealPrefix(size_t session_index) const
     return envelope;
 }
 
-void
-ShardExecutor::stampBufferInfo(trace::TraceBuffer &buffer,
-                               size_t session_index,
-                               unsigned replicate_index) const
-{
-    const SessionConfig &session = config_.sessions[session_index];
-    buffer.info.session = static_cast<uint32_t>(session_index);
-    buffer.info.replicate = replicate_index;
-    buffer.info.pmdMillivolts = session.point.pmdMillivolts;
-    buffer.info.socMillivolts = session.point.socMillivolts;
-    buffer.info.frequencyHz = session.point.frequencyHz;
-    buffer.info.workloads = session.workloadNames;
-}
+namespace {
 
+/**
+ * Run a constructed session to completion: the whole session, or --
+ * given a checkpoint envelope -- the session's prefix restored from it
+ * and only the (seed-dependent) continuation run.
+ */
 SessionResult
-ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
-                       trace::TraceBuffer *buffer,
-                       const std::string *checkpoint) const
+runSession(TestSession &session, size_t session_index,
+           uint64_t config_hash, const std::string *checkpoint)
 {
-    SessionConfig session_config = config_.sessions[session_index];
-    // Replicate 0 keeps the configured seed (sequential-compatible);
-    // later replicates draw their own coordinate-derived stream.
-    if (replicate_index > 0)
-        session_config.seed = deriveStreamSeed(
-            baseSeed_, static_cast<uint64_t>(session_index),
-            replicate_index);
-    session_config.traceSink = buffer;
-    cpu::XGene2Platform platform(config_.platform);
-    TestSession session(&platform, session_config);
     if (checkpoint == nullptr) {
         const telemetry::ScopedPhase timer(
             telemetry::Phase::Continuation);
         return session.execute();
     }
 
-    // Fork path: adopt the session's prefix and run the (seed-
-    // dependent) continuation only. The envelope re-validates even
-    // though the executor may have sealed it moments ago -- the
-    // checksum is cheap next to a session, and a checkpoint that
-    // crossed a process or host boundary is external input.
+    // The envelope re-validates even though the executor may have
+    // sealed it moments ago -- the checksum is cheap next to a session,
+    // and a checkpoint that crossed a process or host boundary is
+    // external input.
     {
         const telemetry::ScopedPhase timer(
             telemetry::Phase::SnapshotRestore);
@@ -100,7 +85,7 @@ ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
                       session_index, ": ", view.error));
         XSER_ASSERT(view.sessionIndex == session_index,
                     "checkpoint/session index mismatch");
-        XSER_ASSERT(view.configHash == configHash_,
+        XSER_ASSERT(view.configHash == config_hash,
                     "checkpoint/campaign config hash mismatch");
         ByteReader reader(view.payload);
         Archive archive(reader);
@@ -114,16 +99,46 @@ ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
     return session.runContinuation();
 }
 
-SessionResult
-ShardExecutor::runUnitRecorded(
-    size_t session_index, unsigned replicate_index,
-    trace::TraceBuffer *buffer, const std::string *checkpoint) const
+} // namespace
+
+UnitOutcome
+ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
+                       const std::string *checkpoint) const
 {
     telemetry::MetricShard *shard = telemetry::activeShard();
     const uint64_t begin_nanos =
         shard != nullptr ? telemetry::monotonicNanos() : 0;
-    SessionResult result =
-        runUnit(session_index, replicate_index, buffer, checkpoint);
+
+    SessionConfig session_config = config_.sessions[session_index];
+    // Replicate 0 keeps the configured seed (sequential-compatible);
+    // later replicates draw their own coordinate-derived stream.
+    if (replicate_index > 0)
+        session_config.seed = deriveStreamSeed(
+            baseSeed_, static_cast<uint64_t>(session_index),
+            replicate_index);
+    std::unique_ptr<trace::TraceBuffer> buffer;
+    if (traceBufferEvents_ > 0) {
+        buffer = std::make_unique<trace::TraceBuffer>(traceBufferEvents_);
+        buffer->info.session = static_cast<uint32_t>(session_index);
+        buffer->info.replicate = replicate_index;
+        buffer->info.pmdMillivolts = session_config.point.pmdMillivolts;
+        buffer->info.socMillivolts = session_config.point.socMillivolts;
+        buffer->info.frequencyHz = session_config.point.frequencyHz;
+        buffer->info.workloads = session_config.workloadNames;
+        session_config.traceSink = buffer.get();
+    }
+    cpu::XGene2Platform platform(config_.platform);
+    TestSession session(&platform, session_config);
+
+    UnitOutcome outcome;
+    outcome.result =
+        runSession(session, session_index, configHash_, checkpoint);
+    if (buffer != nullptr) {
+        const telemetry::ScopedPhase timer(telemetry::Phase::TraceWrite);
+        outcome.traceEventCount = buffer->events().size();
+        outcome.traceBytes = trace::TraceWriter::encodeUnit(*buffer);
+    }
+
     if (shard != nullptr) {
         ++shard->unitsExecuted;
         telemetry::distAdd(
@@ -133,11 +148,12 @@ ShardExecutor::runUnitRecorded(
                 1e-9);
         telemetry::count(telemetry::Counter::UnitsCompleted);
         telemetry::distAdd(telemetry::Dist::RunsPerUnit,
-                           static_cast<double>(result.runs));
-        telemetry::distAdd(telemetry::Dist::ErrorEventsPerUnit,
-                           static_cast<double>(result.events.total()));
+                           static_cast<double>(outcome.result.runs));
+        telemetry::distAdd(
+            telemetry::Dist::ErrorEventsPerUnit,
+            static_cast<double>(outcome.result.events.total()));
     }
-    return result;
+    return outcome;
 }
 
 } // namespace xser::core

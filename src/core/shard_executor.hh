@@ -21,9 +21,21 @@
 #include <string>
 
 #include "core/beam_campaign.hh"
-#include "trace/trace_buffer.hh"
 
 namespace xser::core {
+
+/**
+ * Everything one (session, replicate) unit hands to the canonical
+ * merge, wherever it ran: a local pool slot, a worker's ShardResult,
+ * or a server-side slot all carry exactly this.
+ */
+struct UnitOutcome {
+    SessionResult result;
+    /** Lifecycle events the unit recorded (0 when untraced). */
+    uint64_t traceEventCount = 0;
+    /** The unit's encoded .xtrace section (empty when untraced). */
+    std::string traceBytes;
+};
 
 /**
  * Executes (session, replicate) units of one campaign. Stateless
@@ -36,59 +48,38 @@ class ShardExecutor
     /**
      * @param config The campaign (sessions in canonical order).
      * @param base_seed Seed for replicate-stream derivation.
-     * @param checkpoint Fork continuations from sealed prefixes.
+     * @param trace_buffer_events Per-unit trace-buffer capacity in
+     *        events; 0 runs every unit untraced.
      */
     ShardExecutor(const CampaignConfig &config, uint64_t base_seed,
-                  bool checkpoint);
-
-    const CampaignConfig &config() const { return config_; }
-    uint64_t configHash() const { return configHash_; }
-    bool checkpointing() const { return checkpoint_; }
+                  uint64_t trace_buffer_events);
 
     /**
      * Run the session's seed-independent golden prefix and seal it
      * into a checkpoint envelope (core/checkpoint.hh). Records the
      * phase-1 telemetry (SessionsPrefixed, CheckpointKilobytes) on
-     * the caller's active shard, exactly as the local runner's
-     * phase 1 does.
+     * the caller's active shard.
      */
     std::string sealPrefix(size_t session_index) const;
-
-    /**
-     * Stamp a unit's trace-buffer identity (coordinates, operating
-     * point, workload order) the way the canonical merge expects.
-     */
-    void stampBufferInfo(trace::TraceBuffer &buffer,
-                         size_t session_index,
-                         unsigned replicate_index) const;
 
     /**
      * Run one (session, replicate) unit on a fresh platform. When
      * `checkpoint` is non-null the unit restores the session's prefix
      * from it and runs only the continuation; otherwise it replays
-     * the whole session. `buffer` may be null (tracing off).
+     * the whole session. A traced unit records into its own buffer
+     * and returns it encoded, so no sink is ever shared between
+     * units. Records the per-unit telemetry (UnitsCompleted,
+     * RunsPerUnit, ErrorEventsPerUnit, and the timing-quarantined
+     * UnitSeconds / unitsExecuted) on the caller's active shard.
      */
-    SessionResult runUnit(size_t session_index,
-                          unsigned replicate_index,
-                          trace::TraceBuffer *buffer,
-                          const std::string *checkpoint) const;
-
-    /**
-     * runUnit plus the per-unit telemetry every execution context
-     * records identically (UnitsCompleted, RunsPerUnit,
-     * ErrorEventsPerUnit, and the timing-quarantined UnitSeconds /
-     * unitsExecuted).
-     */
-    SessionResult
-    runUnitRecorded(size_t session_index, unsigned replicate_index,
-                    trace::TraceBuffer *buffer,
-                    const std::string *checkpoint) const;
+    UnitOutcome runUnit(size_t session_index, unsigned replicate_index,
+                        const std::string *checkpoint) const;
 
   private:
     CampaignConfig config_;
     uint64_t baseSeed_;
     uint64_t configHash_;
-    bool checkpoint_;
+    uint64_t traceBufferEvents_;
 };
 
 } // namespace xser::core

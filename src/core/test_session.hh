@@ -85,6 +85,8 @@ struct WorkloadSessionStats {
 
     /** Detected upsets per equivalent minute (Fig. 5's y-axis). */
     double upsetsPerMinute(double beam_flux_per_second) const;
+
+    bool operator==(const WorkloadSessionStats &) const = default;
 };
 
 /** Full session outcome (a Table 2 column). */
@@ -116,6 +118,9 @@ struct SessionResult {
 
     /** Table 2 row 10: memory SER in FIT per Mbit. */
     double memorySerFitPerMbit() const;
+
+    /** Bit-identity: every field, doubles compared exactly. */
+    bool operator==(const SessionResult &) const = default;
 };
 
 /**

@@ -50,6 +50,8 @@ struct EdacEvent {
 struct EdacTally {
     uint64_t corrected = 0;
     uint64_t uncorrected = 0;
+
+    bool operator==(const EdacTally &) const = default;
 };
 
 /**

@@ -30,6 +30,8 @@ visit(Archive &ar, CampaignParams &params)
     ar.u8(params.wantTrace);
     ar.u8(params.wantMetrics);
     ar.u64(params.configHash);
+    if (const char *problem = core::campaignParamsProblem(params))
+        ar.reject(problem);
 }
 
 void
@@ -110,8 +112,6 @@ visit(Archive &ar, SubmitMsg &msg)
 {
     visit(ar, msg.params);
     ar.str32(msg.tracePath);
-    if (msg.params.replicates == 0)
-        ar.reject("zero replicates");
 }
 
 void
@@ -274,15 +274,6 @@ template <>
 constexpr const char *messageName<telemetry::MetricShard> = "metric shard";
 
 } // namespace
-
-core::CampaignConfig
-buildCampaign(const CampaignParams &params)
-{
-    core::CampaignConfig campaign =
-        core::BeamCampaign::paperCampaign(params.scale, params.seed);
-    core::setFastPath(campaign, params.fastpath);
-    return campaign;
-}
 
 template <class Msg>
 std::string

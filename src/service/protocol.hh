@@ -14,13 +14,16 @@
  * replicate-major merge, so the artifacts are bit-identical to a
  * local `xser campaign --jobs N` run.
  *
- * Campaign configuration crosses the wire as parameters (scale, seed,
- * flags), never as serialized state: each peer rebuilds the
- * CampaignConfig locally via BeamCampaign::paperCampaign and verifies
+ * Campaign configuration crosses the wire as core::CampaignParams
+ * (scale, seed, flags), never as serialized state: each peer rebuilds
+ * the CampaignConfig locally via core::buildCampaign and verifies
  * campaignConfigHash against the hash in the message, so a version- or
  * build-skewed peer is rejected at handshake instead of corrupting a
- * campaign. Every decode follows the core/checkpoint posture: a
- * malformed payload yields {false, error}, never a crash.
+ * campaign. Units travel as core::UnitOutcome, and the server finishes
+ * a campaign with the same core merge and renderers as a local run.
+ * Every decode follows the core/checkpoint posture: a malformed
+ * payload -- including parameters core::campaignParamsProblem refuses
+ * -- yields {false, error}, never a crash.
  */
 
 #ifndef XSER_SERVICE_PROTOCOL_HH
@@ -31,7 +34,7 @@
 #include <vector>
 
 #include "core/beam_campaign.hh"
-#include "core/test_session.hh"
+#include "core/shard_executor.hh"
 #include "telemetry/metrics.hh"
 
 namespace xser::service {
@@ -68,26 +71,8 @@ enum class ArtifactKind : uint8_t {
     Manifest = 2, ///< run-manifest JSON
 };
 
-/**
- * Everything needed to rebuild a campaign's configuration locally.
- * `configHash` is the sender's campaignConfigHash of the rebuilt
- * config; a receiver whose own rebuild hashes differently must refuse
- * the campaign (build skew would silently break determinism).
- */
-struct CampaignParams {
-    double scale = 0.22;
-    uint64_t seed = 0x5e5510ULL;
-    uint32_t replicates = 1;
-    bool checkpoint = true;
-    bool fastpath = true;
-    uint64_t traceBufferEvents = 0;
-    bool wantTrace = false;
-    bool wantMetrics = false;
-    uint64_t configHash = 0;
-};
-
-/** Rebuild the paper campaign these parameters describe. */
-core::CampaignConfig buildCampaign(const CampaignParams &params);
+/** The campaign parameters Submit and ShardAssign carry. */
+using core::CampaignParams;
 
 /** Hello payload. */
 struct HelloMsg {
@@ -128,12 +113,9 @@ struct ShardAssignMsg {
     uint32_t replicateEnd = 0; ///< exclusive
 };
 
-/** One unit's outcome within a ShardResult. */
-struct UnitResultMsg {
+/** One unit's outcome within a ShardResult, tagged with its replicate. */
+struct UnitResultMsg : core::UnitOutcome {
     uint32_t replicate = 0;
-    core::SessionResult result;
-    uint64_t traceEventCount = 0;
-    std::string traceBytes; ///< TraceWriter::encodeUnit output
 };
 
 /**
@@ -193,10 +175,11 @@ std::string encode(const Msg &msg);
 
 /**
  * Decode a payload into `out`. Never fatals: a truncated, trailing, or
- * out-of-range payload (unknown role or artifact kind, zero replicates,
- * an empty replicate range, a count skew) returns false with `error`
- * set. A MetricShard decodes by weighted adds into `out`'s (empty)
- * histograms, so integer counts transfer exactly.
+ * out-of-range payload (unknown role or artifact kind, campaign
+ * parameters core::campaignParamsProblem refuses, an empty replicate
+ * range, a count skew) returns false with `error` set. A MetricShard
+ * decodes by weighted adds into `out`'s (empty) histograms, so integer
+ * counts transfer exactly.
  */
 template <class Msg>
 bool decode(const std::string &payload, Msg &out, std::string &error);

@@ -16,15 +16,12 @@
 #include "core/parallel_campaign.hh"
 #include "core/report_export.hh"
 #include "core/run_manifest.hh"
-#include "mem/edac_reporter.hh"
-#include "mem/memory_system.hh"
 #include "net/frame.hh"
 #include "net/socket.hh"
 #include "service/protocol.hh"
 #include "sim/logging.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/stopwatch.hh"
-#include "trace/trace_writer.hh"
 
 namespace xser::service {
 
@@ -45,14 +42,6 @@ struct PendingShard {
     uint32_t replicateEnd = 0;
 };
 
-/** One work unit's recorded outcome. */
-struct UnitSlot {
-    bool done = false;
-    core::SessionResult result;
-    uint64_t traceEventCount = 0;
-    std::string traceBytes;
-};
-
 /** One campaign's full server-side state. */
 struct Campaign {
     uint64_t id = 0;
@@ -62,7 +51,8 @@ struct Campaign {
     size_t numSessions = 0;
 
     std::deque<PendingShard> pending;
-    std::vector<UnitSlot> units; ///< replicate-major, like local runs
+    std::vector<core::UnitOutcome> units; ///< replicate-major
+    std::vector<bool> unitDone;
     size_t unitsDone = 0;
     std::vector<bool> prefixTelemetrySeen;
     /** Single-sharded sink for decoded worker telemetry + merges. */
@@ -318,7 +308,7 @@ class Server
             protocolError(connection, "server is shutting down");
             return;
         }
-        core::CampaignConfig config = buildCampaign(submit.params);
+        core::CampaignConfig config = core::buildCampaign(submit.params);
         const uint64_t hash = core::campaignConfigHash(config);
         if (hash != submit.params.configHash) {
             protocolError(
@@ -336,6 +326,7 @@ class Server
         campaign->numSessions = campaign->config.sessions.size();
         campaign->units.resize(campaign->numSessions *
                                submit.params.replicates);
+        campaign->unitDone.assign(campaign->units.size(), false);
         campaign->prefixTelemetrySeen.assign(campaign->numSessions,
                                              false);
         if (submit.params.wantMetrics)
@@ -453,23 +444,20 @@ class Server
                 static_cast<size_t>(unit.replicate) *
                     campaign.numSessions +
                 shard.session;
-            if (campaign.units[index].done) {
+            if (campaign.unitDone[index]) {
                 protocolError(connection, "duplicate unit result");
                 return;
             }
         }
         connection.busy = false;
         campaign.workersSeen.insert(connection.id);
-        for (const UnitResultMsg &unit : result.units) {
+        for (UnitResultMsg &unit : result.units) {
             const size_t index =
                 static_cast<size_t>(unit.replicate) *
                     campaign.numSessions +
                 shard.session;
-            UnitSlot &slot = campaign.units[index];
-            slot.done = true;
-            slot.result = unit.result;
-            slot.traceEventCount = unit.traceEventCount;
-            slot.traceBytes = unit.traceBytes;
+            campaign.units[index] = std::move(unit);
+            campaign.unitDone[index] = true;
             ++campaign.unitsDone;
         }
         absorbTelemetry(campaign, result);
@@ -528,62 +516,21 @@ class Server
             campaign.registry != nullptr
                 ? &campaign.registry->shard(0)
                 : nullptr);
-        core::ReplicatedCampaignResult sweep;
-        sweep.replicates.resize(campaign.params.replicates);
-        for (size_t unit = 0; unit < campaign.units.size(); ++unit)
-            sweep.replicates[unit / campaign.numSessions]
-                .sessions.push_back(
-                    std::move(campaign.units[unit].result));
-        {
-            // Canonical merge order: replicate-major, session-minor,
-            // exactly as ParallelCampaignRunner::executeAll merges.
-            const telemetry::ScopedPhase timer(
-                telemetry::Phase::Merge);
-            sweep.sessions.resize(campaign.numSessions);
-            for (const auto &replicate : sweep.replicates)
-                for (size_t s = 0; s < replicate.sessions.size(); ++s)
-                    sweep.sessions[s].add(replicate.sessions[s]);
-        }
         if (campaign.params.wantTrace) {
             const telemetry::ScopedPhase timer(
                 telemetry::Phase::TraceWrite);
-            // The array table is a pure function of the platform
-            // config; a throwaway hierarchy provides it, exactly as
-            // the local trace path does.
-            mem::EdacReporter reporter;
-            mem::MemorySystem memory(campaign.config.platform.memory,
-                                     &reporter);
-            campaign.traceFile = trace::TraceWriter::encodeHeader(
-                campaign.params.seed, campaign.params.configHash,
-                memory.traceArrayTable(), campaign.units.size());
-            for (const UnitSlot &slot : campaign.units) {
-                telemetry::count(
-                    telemetry::Counter::TraceEventsMerged,
-                    slot.traceEventCount);
-                campaign.traceFile += slot.traceBytes;
-            }
+            campaign.traceFile = core::encodeCampaignTrace(
+                campaign.config, campaign.params.seed, campaign.units);
         }
-        campaign.report.clear();
-        if (campaign.params.wantTrace)
-            campaign.report += core::formatTraceLine(
-                campaign.units.size(), campaign.tracePath);
-        campaign.report += core::formatCampaignReport(sweep);
-        if (campaign.registry != nullptr) {
-            core::ManifestRunInfo info;
-            info.tool = "xser campaign";
-            info.configHash = campaign.params.configHash;
-            info.seed = campaign.params.seed;
-            info.scale = campaign.params.scale;
-            info.sessions =
-                static_cast<unsigned>(campaign.numSessions);
-            info.replicates = campaign.params.replicates;
-            info.fastpath = campaign.params.fastpath;
-            info.checkpoint = campaign.params.checkpoint;
-            campaign.manifest = core::renderRunManifest(
-                info, sweep.sessions, campaign.registry.get(),
+        const core::ReplicatedCampaignResult sweep =
+            core::mergeUnitOutcomes(campaign.units, campaign.numSessions);
+        campaign.report = core::renderCampaignReport(
+            campaign.params, campaign.tracePath, sweep);
+        if (campaign.registry != nullptr)
+            campaign.manifest = core::renderCampaignManifest(
+                campaign.params, sweep, campaign.registry.get(),
                 static_cast<unsigned>(campaign.workersSeen.size()),
                 campaign.elapsed.seconds());
-        }
         campaign.finished = true;
         ++campaignsFinished_;
         inform(msg("campaign ", campaign.id, " finished (",
@@ -757,6 +704,9 @@ class Server
             }
             if (connection.busy)
                 requeueShard(connection);
+            // Best effort, never blocking: a peer refused by
+            // protocolError() gets to read the ErrorMsg saying why.
+            connection.conn.writeSome(connection.outbox);
             it = connections_.erase(it);
         }
     }

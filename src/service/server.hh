@@ -2,9 +2,9 @@
  * @file
  * The xser-server campaign service: a single-threaded poll() event
  * loop that owns a queue of (session, replicate-range) shards, hands
- * them to connected workers, and performs the canonical
- * replicate-major merge so the finished artifacts -- report text,
- * .xtrace bytes, run manifest -- are bit-identical to a local
+ * them to connected workers, and finishes each campaign with the same
+ * core merge and renderers as a local run, so the artifacts -- report
+ * text, .xtrace bytes, run manifest -- are bit-identical to a local
  * `xser campaign --jobs N` run (DESIGN.md section 12).
  *
  * Fault model: a worker that disconnects mid-shard contributes

@@ -18,8 +18,6 @@
 #include "sim/logging.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/stopwatch.hh"
-#include "trace/trace_buffer.hh"
-#include "trace/trace_writer.hh"
 
 namespace xser::service {
 
@@ -33,7 +31,6 @@ struct PrefixEntry {
 
 /** Everything the worker caches for one campaign. */
 struct WorkerCampaign {
-    CampaignParams params;
     std::unique_ptr<core::ShardExecutor> executor;
     std::map<uint32_t, PrefixEntry> prefixes;
 };
@@ -165,15 +162,16 @@ class Worker
         if (campaigns_.size() >= 4)
             campaigns_.clear();
         auto campaign = std::make_unique<WorkerCampaign>();
-        campaign->params = assign.params;
-        core::CampaignConfig config = buildCampaign(assign.params);
+        core::CampaignConfig config = core::buildCampaign(assign.params);
         const uint64_t hash = core::campaignConfigHash(config);
         if (hash != assign.params.configHash)
             fatal(msg("campaign config hash mismatch (server ",
                       assign.params.configHash, ", worker ", hash,
                       "); worker and server builds are skewed"));
         campaign->executor = std::make_unique<core::ShardExecutor>(
-            config, assign.params.seed, assign.params.checkpoint);
+            config, assign.params.seed,
+            assign.params.wantTrace ? assign.params.traceBufferEvents
+                                    : 0);
         return *campaigns_
                     .emplace(assign.campaignId, std::move(campaign))
                     .first->second;
@@ -217,26 +215,11 @@ class Worker
         {
             const telemetry::ShardScope scope(&shard_telemetry);
             for (uint32_t replicate = assign.replicateBegin;
-                 replicate < assign.replicateEnd; ++replicate) {
-                UnitResultMsg unit;
-                unit.replicate = replicate;
-                std::unique_ptr<trace::TraceBuffer> buffer;
-                if (assign.params.wantTrace) {
-                    buffer = std::make_unique<trace::TraceBuffer>(
-                        assign.params.traceBufferEvents);
-                    executor.stampBufferInfo(*buffer, assign.session,
-                                             replicate);
-                }
-                unit.result = executor.runUnitRecorded(
-                    assign.session, replicate, buffer.get(),
-                    checkpoint);
-                if (buffer != nullptr) {
-                    unit.traceEventCount = buffer->events().size();
-                    unit.traceBytes =
-                        trace::TraceWriter::encodeUnit(*buffer);
-                }
-                result.units.push_back(std::move(unit));
-            }
+                 replicate < assign.replicateEnd; ++replicate)
+                result.units.push_back(UnitResultMsg{
+                    executor.runUnit(assign.session, replicate,
+                                     checkpoint),
+                    replicate});
         }
         result.shardTelemetry = encode(shard_telemetry);
         send(FrameType::ShardResult, encode(result));

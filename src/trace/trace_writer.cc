@@ -42,20 +42,6 @@ TraceWriter::encodeHeader(uint64_t seed, uint64_t config_hash,
     return out.take();
 }
 
-void
-TraceWriter::writeHeader(uint64_t seed, uint64_t config_hash,
-                         const std::vector<TraceArrayInfo> &arrays,
-                         uint64_t unit_count)
-{
-    XSER_ASSERT(!headerWritten_, "trace header written twice");
-    const std::string bytes =
-        encodeHeader(seed, config_hash, arrays, unit_count);
-    out_.write(bytes.data(),
-               static_cast<std::streamsize>(bytes.size()));
-    unitsExpected_ = unit_count;
-    headerWritten_ = true;
-}
-
 std::string
 TraceWriter::encodeUnit(const TraceBuffer &buffer)
 {
@@ -91,23 +77,9 @@ TraceWriter::encodeUnit(const TraceBuffer &buffer)
 }
 
 void
-TraceWriter::appendUnit(const TraceBuffer &buffer)
+TraceWriter::write(const std::string &file)
 {
-    XSER_ASSERT(headerWritten_, "trace unit appended before header");
-    XSER_ASSERT(unitsWritten_ < unitsExpected_,
-                "more trace units appended than promised");
-    const std::string bytes = encodeUnit(buffer);
-    out_.write(bytes.data(),
-               static_cast<std::streamsize>(bytes.size()));
-    ++unitsWritten_;
-}
-
-void
-TraceWriter::finish()
-{
-    XSER_ASSERT(headerWritten_, "trace finished before header");
-    XSER_ASSERT(unitsWritten_ == unitsExpected_,
-                "trace finished with missing units");
+    out_.write(file.data(), static_cast<std::streamsize>(file.size()));
     out_.flush();
     if (!out_)
         fatal(msg("I/O error writing trace file '", path_, "'"));

@@ -43,9 +43,10 @@ constexpr uint64_t traceFormatVersion = 1;
 extern const char traceMagic[4];
 
 /**
- * Streams a trace file: header once, then one unit per work unit in
- * canonical order, then finish(). Opening happens in the constructor
- * so an unwritable path fails before any simulation time is spent.
+ * Writes a trace file: encodeHeader() followed by one encodeUnit()
+ * section per work unit in canonical order. Opening happens in the
+ * constructor so an unwritable path fails before any simulation time
+ * is spent; the bytes arrive in one write() once they exist.
  */
 class TraceWriter
 {
@@ -53,28 +54,18 @@ class TraceWriter
     /** Opens (truncates) `path`; fatal when it cannot be written. */
     explicit TraceWriter(const std::string &path);
 
-    /** Write the file header. Must precede any appendUnit(). */
-    void writeHeader(uint64_t seed, uint64_t config_hash,
-                     const std::vector<TraceArrayInfo> &arrays,
-                     uint64_t unit_count);
-
-    /** Append one unit's buffer (call in canonical unit order). */
-    void appendUnit(const TraceBuffer &buffer);
-
-    /** Flush and verify all promised units were written. */
-    void finish();
+    /** Write the whole file and close it; fatal on I/O failure. */
+    void write(const std::string &file);
 
     const std::string &path() const { return path_; }
-    uint64_t unitsWritten() const { return unitsWritten_; }
-
-    /** Encode one unit section (exposed for round-trip tests). */
-    static std::string encodeUnit(const TraceBuffer &buffer);
 
     /**
-     * Encode the file header (exposed so the distributed campaign
-     * service can assemble a byte-identical .xtrace in memory from
-     * worker-streamed unit sections).
+     * Encode one unit section. Campaign units encode their own
+     * section where they run, so the merge only concatenates.
      */
+    static std::string encodeUnit(const TraceBuffer &buffer);
+
+    /** Encode the file header. */
     static std::string
     encodeHeader(uint64_t seed, uint64_t config_hash,
                  const std::vector<TraceArrayInfo> &arrays,
@@ -83,9 +74,6 @@ class TraceWriter
   private:
     std::string path_;
     std::ofstream out_;
-    uint64_t unitsExpected_ = 0;
-    uint64_t unitsWritten_ = 0;
-    bool headerWritten_ = false;
 };
 
 } // namespace xser::trace

@@ -30,6 +30,8 @@ struct OperatingPoint {
 
     /** Label like "920mV @ 2.4GHz". */
     std::string label() const;
+
+    bool operator==(const OperatingPoint &) const = default;
 };
 
 /** Nominal: 980 mV / 950 mV @ 2.4 GHz. */

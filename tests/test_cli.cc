@@ -10,7 +10,9 @@
 #include <sstream>
 
 #include "cli/args.hh"
+#include "core/parallel_campaign.hh"
 #include "core/report_export.hh"
+#include "trace/trace_buffer.hh"
 #include "volt/operating_point.hh"
 
 namespace xser {
@@ -76,6 +78,47 @@ TEST(ArgsDeath, RejectsExtraPositional)
 {
     EXPECT_EXIT(parse({"session", "bogus"}),
                 ::testing::ExitedWithCode(1), "unexpected positional");
+}
+
+TEST(Args, CampaignParamsDefaultsAndHash)
+{
+    const core::CampaignParams params = cli::campaignParams(
+        parse({"campaign", "--scale", "0.05", "--replicates", "3",
+               "--checkpoint", "off", "--trace", "t.xtrace"}));
+    EXPECT_DOUBLE_EQ(params.scale, 0.05);
+    EXPECT_EQ(params.seed, 0x5e5510ULL);
+    EXPECT_EQ(params.replicates, 3u);
+    EXPECT_FALSE(params.checkpoint);
+    EXPECT_TRUE(params.fastpath);
+    EXPECT_EQ(params.traceBufferEvents,
+              trace::TraceBuffer::defaultMaxEvents);
+    EXPECT_TRUE(params.wantTrace);
+    EXPECT_FALSE(params.wantMetrics);
+    EXPECT_EQ(params.configHash,
+              core::campaignConfigHash(
+                  core::BeamCampaign::paperCampaign(0.05, 0x5e5510ULL)));
+}
+
+TEST(ArgsDeath, CampaignRejectsReplicatesBeyondTheBound)
+{
+    // 2^32 + 1 must be refused, not narrowed to a single replicate.
+    EXPECT_EXIT(cli::campaignParams(
+                    parse({"campaign", "--replicates", "4294967297"})),
+                ::testing::ExitedWithCode(1),
+                "option --replicates expects a count");
+    EXPECT_EXIT(
+        cli::campaignParams(parse({"campaign", "--replicates", "0"})),
+        ::testing::ExitedWithCode(1), "option --replicates expects a count");
+}
+
+TEST(ArgsDeath, CampaignRejectsDegenerateScale)
+{
+    for (const char *scale : {"0", "nan", "-1", "inf", "1e18"}) {
+        SCOPED_TRACE(scale);
+        EXPECT_EXIT(
+            cli::campaignParams(parse({"campaign", "--scale", scale})),
+            ::testing::ExitedWithCode(1), "option --scale expects");
+    }
 }
 
 /* ------------------------------ CSV ------------------------------ */

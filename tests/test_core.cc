@@ -17,6 +17,7 @@
 #include "core/observations.hh"
 #include "core/fit_calculator.hh"
 #include "core/logic_susceptibility.hh"
+#include "core/parallel_campaign.hh"
 #include "core/table_printer.hh"
 #include "sim/rng.hh"
 #include "volt/timing_model.hh"
@@ -511,12 +512,18 @@ TEST(BeamCampaign, Campaign24GHzDropsThe900MHzSession)
  * silently bending Table 2 / Figs. 5-13. Integer tallies are pinned
  * exactly; accumulated floats get a 1e-6 relative band (they are
  * bit-stable on one platform, but libm rounding may differ across
- * toolchains).
+ * toolchains). The run goes through the production engine -- worker
+ * pool, checkpoint/fork, canonical merge -- that `xser campaign` uses.
  */
 TEST(GoldenCampaign, HeadlineNumbersPinned)
 {
-    BeamCampaign campaign(BeamCampaign::paperCampaign(0.02, 0x5e5510ULL));
-    const CampaignResult result = campaign.execute();
+    ParallelRunConfig run;
+    run.jobs = 4;
+    ParallelCampaignRunner runner(
+        BeamCampaign::paperCampaign(0.02, 0x5e5510ULL), run);
+    const ReplicatedCampaignResult sweep = runner.executeAll();
+    ASSERT_EQ(sweep.replicates.size(), 1u);
+    const CampaignResult &result = sweep.replicates.front();
     ASSERT_EQ(result.sessions.size(), 4u);
 
     struct Golden {

@@ -18,6 +18,7 @@
 
 #include "core/beam_campaign.hh"
 #include "core/fit_calculator.hh"
+#include "core/parallel_campaign.hh"
 #include "core/test_session.hh"
 #include "cpu/xgene2_platform.hh"
 #include "volt/operating_point.hh"
@@ -324,9 +325,11 @@ TEST(Campaign900MHz, FrequencyInsensitivityOfUpsetRate)
 
 TEST(FullCampaign, FourSessionsExecute)
 {
-    CampaignConfig config = BeamCampaign::paperCampaign(0.04, 5);
-    BeamCampaign campaign(config);
-    CampaignResult result = campaign.execute();
+    ParallelRunConfig run;
+    run.jobs = 4;
+    ParallelCampaignRunner runner(BeamCampaign::paperCampaign(0.04, 5),
+                                  run);
+    const CampaignResult result = runner.executeAll().replicates.front();
     ASSERT_EQ(result.sessions.size(), 4u);
     EXPECT_EQ(result.sessions[0].point.pmdMillivolts, 980.0);
     EXPECT_EQ(result.sessions[3].point.frequencyHz, 0.9e9);

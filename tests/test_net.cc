@@ -12,11 +12,20 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/parallel_campaign.hh"
 #include "net/frame.hh"
+#include "net/socket.hh"
 #include "service/protocol.hh"
+#include "service/server.hh"
 #include "service_samples.hh"
 #include "telemetry/metrics.hh"
 
@@ -271,6 +280,59 @@ TEST(ServiceCodec, RejectsDegenerateCoordinates)
     EXPECT_FALSE(service::decode(service::encode(empty_range),
                                  assign_out, error));
     EXPECT_FALSE(error.empty());
+
+    // Parameters no campaign can be built from: a scale that is zero,
+    // NaN, negative, infinite, or big enough to overflow the event
+    // targets; more replicates than any client may ask for (even with
+    // a matching config hash, which leaves out the replicate count);
+    // and a trace request with no room for a single event. Submit and
+    // ShardAssign both refuse them at decode.
+    std::vector<core::CampaignParams> bad;
+    for (double scale : {0.0, std::nan(""), -0.5,
+                         std::numeric_limits<double>::infinity(),
+                         core::maxCampaignScale * 2}) {
+        bad.push_back(sampleParams());
+        bad.back().scale = scale;
+    }
+    for (uint32_t replicates :
+         {core::maxCampaignReplicates + 1, uint32_t(0xffffffff)}) {
+        bad.push_back(sampleParams());
+        bad.back().replicates = replicates;
+        bad.back().configHash = core::campaignConfigHash(
+            core::buildCampaign(bad.back()));
+    }
+    bad.push_back(sampleParams());
+    bad.back().traceBufferEvents = 0;
+    for (const core::CampaignParams &params : bad) {
+        SCOPED_TRACE(testing::Message()
+                     << "scale " << params.scale << " replicates "
+                     << params.replicates << " trace buffer "
+                     << params.traceBufferEvents);
+        service::SubmitMsg submit;
+        submit.params = params;
+        error.clear();
+        EXPECT_FALSE(
+            service::decode(service::encode(submit), decoded, error));
+        EXPECT_NE(error.find("submit: "), std::string::npos) << error;
+
+        service::ShardAssignMsg assign;
+        assign.params = params;
+        assign.replicateEnd = 1;
+        error.clear();
+        EXPECT_FALSE(
+            service::decode(service::encode(assign), assign_out, error));
+        EXPECT_NE(error.find("shard assign: "), std::string::npos)
+            << error;
+    }
+
+    // The bounds themselves are valid campaigns.
+    service::SubmitMsg edge;
+    edge.params = sampleParams();
+    edge.params.scale = core::maxCampaignScale;
+    edge.params.replicates = core::maxCampaignReplicates;
+    error.clear();
+    EXPECT_TRUE(service::decode(service::encode(edge), decoded, error))
+        << error;
 }
 
 TEST(ServiceCodec, GarbageNeverDecodes)
@@ -347,6 +409,167 @@ TEST(ServiceCodec, EveryMetricShardTruncationFailsCleanly)
         EXPECT_FALSE(service::decode(blob.substr(0, len), decoded, error))
             << "prefix " << len;
     }
+}
+
+// --------------------------------------------------------------------
+// Server robustness
+// --------------------------------------------------------------------
+
+/** A blocking frame-level peer of an in-process xser-server. */
+class TestPeer
+{
+  public:
+    explicit TestPeer(uint16_t port)
+    {
+        std::string error;
+        conn_ = net::connectTo("127.0.0.1", port, error);
+        EXPECT_TRUE(conn_.open()) << error;
+    }
+
+    void
+    send(service::FrameType type, const std::string &payload)
+    {
+        outbox_ += net::encodeFrame(static_cast<uint32_t>(type), payload);
+    }
+
+    /** Flush, then wait up to 10 s for one frame; false otherwise. */
+    bool
+    next(net::Frame &frame)
+    {
+        for (int wait = 0; wait < 100; ++wait) {
+            if (reader_.next(frame) == FrameReader::Status::Ready)
+                return true;
+            std::vector<net::PollItem> items(1);
+            items[0].fd = conn_.fd();
+            items[0].wantRead = true;
+            items[0].wantWrite = !outbox_.empty();
+            net::pollSockets(items, 100);
+            if (items[0].canWrite)
+                conn_.writeSome(outbox_);
+            std::string bytes;
+            if (items[0].canRead &&
+                conn_.readSome(bytes) == net::ReadStatus::Data)
+                reader_.feed(bytes.data(), bytes.size());
+        }
+        return false;
+    }
+
+    /** Say hello as a client and expect the server's acceptance. */
+    void
+    hello()
+    {
+        send(service::FrameType::Hello,
+             service::encode(service::HelloMsg{service::PeerRole::Client}));
+        net::Frame frame;
+        ASSERT_TRUE(next(frame));
+        EXPECT_EQ(frame.type,
+                  static_cast<uint32_t>(service::FrameType::HelloAck));
+    }
+
+  private:
+    net::TcpConnection conn_;
+    FrameReader reader_;
+    std::string outbox_;
+};
+
+/**
+ * runServer() on a thread of this process. However the test ends, the
+ * destructor asks the server to drain with a ShutdownRequest -- so
+ * only the server's own thread ever sets its shutdown flag -- and
+ * joins it.
+ */
+class ServerThread
+{
+  public:
+    ServerThread()
+    {
+        config_.portFile = testing::TempDir() + "xser-server-test.port";
+        std::remove(config_.portFile.c_str());
+        service::serverShutdownFlag = 0;
+        thread_ = std::thread([this] { service::runServer(config_); });
+        for (int wait = 0; wait < 200 && port_ == 0; ++wait) {
+            std::ifstream in(config_.portFile);
+            if (!(in >> port_))
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+    }
+
+    ~ServerThread()
+    {
+        TestPeer peer(port_);
+        peer.send(service::FrameType::Hello,
+                  service::encode(
+                      service::HelloMsg{service::PeerRole::Client}));
+        peer.send(service::FrameType::ShutdownRequest, "");
+        net::Frame frame;
+        while (peer.next(frame) &&
+               frame.type != static_cast<uint32_t>(
+                                 service::FrameType::ShutdownAck)) {
+        }
+        thread_.join();
+    }
+
+    ServerThread(const ServerThread &) = delete;
+    ServerThread &operator=(const ServerThread &) = delete;
+
+    uint16_t port() const { return port_; }
+
+  private:
+    service::ServerConfig config_;
+    uint16_t port_ = 0;
+    std::thread thread_;
+};
+
+TEST(ServiceServer, RefusesDegenerateSubmitsAndKeepsServing)
+{
+    const ServerThread server;
+    const uint16_t port = server.port();
+    ASSERT_NE(port, 0u);
+
+    // Each of these must be refused without taking the server down:
+    // scale 0 and NaN fail paperCampaign's precondition, and 2^32 - 1
+    // replicates -- with a matching config hash, since the hash leaves
+    // the replicate count out -- would size the unit table past any
+    // memory.
+    std::vector<service::SubmitMsg> crafted(3);
+    for (service::SubmitMsg &submit : crafted)
+        submit.params = sampleParams();
+    crafted[0].params.scale = 0.0;
+    crafted[1].params.scale = std::nan("");
+    crafted[2].params.replicates = 0xffffffffu;
+    crafted[2].params.configHash =
+        core::campaignConfigHash(core::buildCampaign(crafted[2].params));
+    for (const service::SubmitMsg &submit : crafted) {
+        TestPeer peer(port);
+        peer.hello();
+        peer.send(service::FrameType::Submit, service::encode(submit));
+        net::Frame frame;
+        ASSERT_TRUE(peer.next(frame));
+        ASSERT_EQ(frame.type,
+                  static_cast<uint32_t>(service::FrameType::ErrorMsg));
+        service::ErrorMsgMsg refusal;
+        std::string error;
+        ASSERT_TRUE(service::decode(frame.payload, refusal, error));
+        EXPECT_NE(refusal.text.find("submit: "), std::string::npos)
+            << refusal.text;
+    }
+
+    // The server is still up and accepts the next, valid campaign.
+    service::SubmitMsg valid;
+    valid.params = sampleParams();
+    valid.params.configHash =
+        core::campaignConfigHash(core::buildCampaign(valid.params));
+    TestPeer client(port);
+    client.hello();
+    client.send(service::FrameType::Submit, service::encode(valid));
+    net::Frame frame;
+    ASSERT_TRUE(client.next(frame));
+    ASSERT_EQ(frame.type,
+              static_cast<uint32_t>(service::FrameType::Accepted));
+    service::AcceptedMsg accepted;
+    std::string error;
+    ASSERT_TRUE(service::decode(frame.payload, accepted, error));
+    EXPECT_EQ(accepted.totalUnits, 4u * valid.params.replicates);
 }
 
 } // namespace

@@ -11,9 +11,27 @@
 #include "core/beam_campaign.hh"
 #include "core/fit_calculator.hh"
 #include "core/parallel_campaign.hh"
+#include "cpu/xgene2_platform.hh"
 
 namespace xser::core {
 namespace {
+
+/**
+ * The independent sequential reference: every session executed in
+ * order by TestSession on a freshly constructed platform, with no
+ * pool, checkpoint, or merge in between.
+ */
+CampaignResult
+runSequentially(const CampaignConfig &config)
+{
+    CampaignResult result;
+    for (const SessionConfig &session : config.sessions) {
+        cpu::XGene2Platform platform(config.platform);
+        result.sessions.push_back(
+            TestSession(&platform, session).execute());
+    }
+    return result;
+}
 
 /** Fast-but-real campaign: the paper's four sessions, tiny targets. */
 CampaignConfig
@@ -120,9 +138,8 @@ ReplicatedCampaignResult *ParallelDeterminism::reference_ = nullptr;
 TEST_F(ParallelDeterminism, SingleWorkerMatchesSequentialBeamCampaign)
 {
     // Replicate 0 of the parallel engine is the sequential campaign.
-    BeamCampaign sequential(tinyCampaign());
-    const CampaignResult expected = sequential.execute();
-    expectCampaignsBitIdentical(expected, reference_->replicates[0]);
+    expectCampaignsBitIdentical(runSequentially(tinyCampaign()),
+                                reference_->replicates[0]);
 }
 
 TEST_F(ParallelDeterminism, FastPathOffBitIdentical)
@@ -248,10 +265,11 @@ TEST(ParallelRunner, ExecuteReturnsReplicateZeroOnly)
     CampaignConfig config = tinyCampaign();
     config.sessions.resize(2);
     ParallelCampaignRunner runner(config, run);
-    const CampaignResult result = runner.execute();
-    ASSERT_EQ(result.sessions.size(), 2u);
-    BeamCampaign sequential(config);
-    expectCampaignsBitIdentical(sequential.execute(), result);
+    const ReplicatedCampaignResult sweep = runner.executeAll();
+    ASSERT_EQ(sweep.replicates.size(), 1u);
+    ASSERT_EQ(sweep.replicates[0].sessions.size(), 2u);
+    expectCampaignsBitIdentical(runSequentially(config),
+                                sweep.replicates[0]);
 }
 
 TEST(SessionAggregateMerge, ChanMergeMatchesSequentialCounts)

@@ -165,10 +165,10 @@ writeFixtureTrace(const std::string &path)
     unit1.record({EventType::EccCorrect, 6, 1, 1063, 71, 0});
 
     trace::TraceWriter writer(path);
-    writer.writeHeader(0xabcdULL, 0x1234ULL, arrays, 2);
-    writer.appendUnit(unit0);
-    writer.appendUnit(unit1);
-    writer.finish();
+    writer.write(
+        trace::TraceWriter::encodeHeader(0xabcdULL, 0x1234ULL, arrays, 2) +
+        trace::TraceWriter::encodeUnit(unit0) +
+        trace::TraceWriter::encodeUnit(unit1));
 
     std::ifstream in(path, std::ios::binary);
     std::ostringstream bytes;
@@ -418,7 +418,7 @@ TEST(GoldenCampaignTrace, PerTypeEventCountsPinned)
     trace::TraceWriter writer(path);
     core::ParallelCampaignRunner runner(
         core::BeamCampaign::paperCampaign(0.02, 0x5e5510ULL), run);
-    runner.execute(&writer);
+    runner.executeAll(&writer);
 
     const trace::TraceFile file = trace::readTraceFile(path);
     ASSERT_TRUE(file.ok) << file.error;
