@@ -14,9 +14,6 @@
 #include "bench_common.hh"
 #include "core/fit_calculator.hh"
 #include "core/table_printer.hh"
-#include "core/test_session.hh"
-#include "cpu/xgene2_platform.hh"
-#include "volt/operating_point.hh"
 
 int
 main()
@@ -26,28 +23,26 @@ main()
 
     const double scale = bench::campaignScaleFromEnv(bench::defaultScale);
 
-    core::TablePrinter table({"PMD (mV)", "SoC (mV)", "power (W)",
-                              "upsets/min", "SDC FIT", "total FIT"});
+    core::CampaignConfig ladder;
     for (double pmd = 980.0; pmd >= 920.0 - 0.5; pmd -= 10.0) {
         // The SoC domain tracks the PMD reduction as in Table 3
         // (950 -> 925 -> 920), floored at 920 mV.
         const double soc = std::max(920.0, 950.0 - (980.0 - pmd) / 2.0);
-        volt::OperatingPoint point{"ladder", pmd,
-                                   5.0 * std::round(soc / 5.0), 2.4e9};
-
-        cpu::XGene2Platform platform;
         core::SessionConfig config;
-        config.point = point;
-        config.maxErrorEvents = static_cast<uint64_t>(80 * scale);
+        config.point = {"ladder", pmd, 5.0 * std::round(soc / 5.0), 2.4e9};
+        config.maxErrorEvents = core::scaledEventTarget(80, scale);
         config.maxFluence = 6e10 * scale;
         config.seed = 0x9aadba9dULL + static_cast<uint64_t>(pmd);
-        core::TestSession session(&platform, config);
-        const core::SessionResult result = session.execute();
+        ladder.sessions.push_back(config);
+    }
+
+    core::TablePrinter table({"PMD (mV)", "SoC (mV)", "power (W)",
+                              "upsets/min", "SDC FIT", "total FIT"});
+    for (const core::SessionResult &result : bench::runCampaign(ladder)) {
         const core::FitBreakdown fit =
             core::FitCalculator::breakdown(result);
-
-        table.addRow({core::TablePrinter::fmt(pmd, 0),
-                      core::TablePrinter::fmt(point.socMillivolts, 0),
+        table.addRow({core::TablePrinter::fmt(result.point.pmdMillivolts, 0),
+                      core::TablePrinter::fmt(result.point.socMillivolts, 0),
                       core::TablePrinter::fmt(result.avgPowerWatts, 2),
                       core::TablePrinter::fmt(result.upsetsPerMinute(),
                                               2),

@@ -47,8 +47,7 @@ main()
 
         core::SessionConfig session_config;
         session_config.point = volt::vminPoint();
-        session_config.maxErrorEvents =
-            static_cast<uint64_t>(141 * scale);
+        session_config.maxErrorEvents = core::scaledEventTarget(141, scale);
         session_config.maxFluence = 1.5e11 * scale;
         session_config.seed = 0xab1a7e;
         core::TestSession session(&platform, session_config);

@@ -7,11 +7,11 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.hh"
 #include "core/table_printer.hh"
-#include "core/test_session.hh"
-#include "cpu/xgene2_platform.hh"
 #include "volt/operating_point.hh"
 
 int
@@ -23,37 +23,47 @@ main()
     const double scale = bench::campaignScaleFromEnv(bench::defaultScale);
 
     struct Variant {
-        const char *label;
+        std::string label;
         bool l2_enabled;
-        double l2_period_us;
+        Tick l2_period;
         bool l3_enabled;
     };
+    const auto micros = [](double us) {
+        return ticks::fromSeconds(us * 1e-6);
+    };
+    // The deployed pacing: what every campaign session runs.
+    const Tick deployed = core::SessionConfig().scrub.l2PassPeriod;
+    const std::string deployed_label =
+        "L2 @ " + std::to_string(deployed / ticks::perMicrosecond) +
+        " us/pass (default)";
     const Variant variants[] = {
-        {"no scrub", false, 250.0, false},
-        {"L2 @ 1000 us/pass", true, 1000.0, false},
-        {"L2 @ 250 us/pass (default)", true, 250.0, false},
-        {"L2 @ 60 us/pass", true, 60.0, false},
-        {"L2 @ 250 us + L3 @ 2 ms", true, 250.0, true},
+        {"no scrub", false, micros(250.0), false},
+        {"L2 @ 1000 us/pass", true, micros(1000.0), false},
+        {deployed_label, true, deployed, false},
+        {"L2 @ 60 us/pass", true, micros(60.0), false},
+        {"L2 @ 250 us + L3 @ 2 ms", true, micros(250.0), true},
     };
 
-    core::TablePrinter table({"variant", "TLB/min", "L1/min", "L2/min",
-                              "L3/min", "total/min"});
+    core::CampaignConfig sweep;
     for (const Variant &variant : variants) {
-        cpu::XGene2Platform platform;
         core::SessionConfig config;
         config.point = volt::nominalPoint();
-        config.maxErrorEvents = static_cast<uint64_t>(100 * scale);
+        config.maxErrorEvents = core::scaledEventTarget(100, scale);
         config.maxFluence = 1.49e11 * scale;
         config.seed = 0x5c20bULL;
         config.scrub.enabled = variant.l2_enabled || variant.l3_enabled;
         config.scrub.l2Enabled = variant.l2_enabled;
         config.scrub.l3Enabled = variant.l3_enabled;
-        config.scrub.l2PassPeriod =
-            ticks::fromSeconds(variant.l2_period_us * 1e-6);
+        config.scrub.l2PassPeriod = variant.l2_period;
         config.scrub.l3PassPeriod = ticks::fromSeconds(2e-3);
+        sweep.sessions.push_back(config);
+    }
+    const std::vector<core::SessionResult> results = bench::runCampaign(sweep);
 
-        core::TestSession session(&platform, config);
-        const core::SessionResult result = session.execute();
+    core::TablePrinter table({"variant", "TLB/min", "L1/min", "L2/min",
+                              "L3/min", "total/min"});
+    for (size_t i = 0; i < results.size(); ++i) {
+        const core::SessionResult &result = results[i];
         const double minutes = result.equivalentMinutes();
         auto rate = [&](mem::CacheLevel level) {
             const auto &tally =
@@ -63,7 +73,7 @@ main()
                                       tally.uncorrected) / minutes
                 : 0.0;
         };
-        table.addRow({variant.label,
+        table.addRow({variants[i].label,
                       core::TablePrinter::fmt(rate(mem::CacheLevel::Tlb),
                                               3),
                       core::TablePrinter::fmt(rate(mem::CacheLevel::L1),

@@ -26,12 +26,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "bench_common.hh"
 #include "core/beam_campaign.hh"
-#include "core/parallel_campaign.hh"
-#include "telemetry/stopwatch.hh"
 
 namespace {
 
@@ -63,27 +60,6 @@ cliffSweep(double scale)
     return config;
 }
 
-/** One timed end-to-end replicated sweep. */
-struct Timed {
-    double seconds = 0.0;
-    core::ReplicatedCampaignResult result;
-};
-
-Timed
-timedRun(const core::CampaignConfig &config, bool checkpoint)
-{
-    core::ParallelRunConfig run;
-    run.jobs = bench::benchJobs();
-    run.replicates = replicates;
-    run.checkpoint = checkpoint;
-    core::ParallelCampaignRunner runner(config, run);
-    Timed timed;
-    const telemetry::Stopwatch watch;
-    timed.result = runner.executeAll();
-    timed.seconds = watch.seconds();
-    return timed;
-}
-
 } // namespace
 
 int
@@ -99,8 +75,13 @@ main(int argc, char **argv)
     const double scale = bench::campaignScaleFromEnv(0.02);
 
     const core::CampaignConfig config = cliffSweep(scale);
-    const Timed off = timedRun(config, false);
-    const Timed on = timedRun(config, true);
+    core::ParallelRunConfig run;
+    run.jobs = bench::benchJobs();
+    run.replicates = replicates;
+    run.checkpoint = false;
+    const bench::TimedRun off = bench::timedRun(config, run);
+    run.checkpoint = true;
+    const bench::TimedRun on = bench::timedRun(config, run);
 
     const bool identical = off.result.replicates == on.result.replicates;
     const double speedup = off.seconds / on.seconds;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared helpers for the per-table/per-figure bench binaries.
+ * Shared helpers for the bench binaries.
  *
  * Every binary runs scaled-down sessions by default so the full bench
  * sweep finishes in minutes; set XSER_FULL=1 for paper-scale stop
@@ -24,6 +24,7 @@
 #include "core/test_session.hh"
 #include "sim/logging.hh"
 #include "telemetry/json.hh"
+#include "telemetry/stopwatch.hh"
 
 namespace xser::bench {
 
@@ -41,8 +42,8 @@ constexpr uint32_t benchRecordSchemaVersion = 1;
  *
  *     bench::BenchReport report("fastpath");
  *     report.add("speedup", speedup);
- *     report.beginSection("reference");
- *     report.add("seconds", 20.84);
+ *     report.beginSection("seconds_by_mode");
+ *     report.add("off", off.seconds);
  *     report.endSection();
  *     report.write(out_path);
  */
@@ -163,15 +164,7 @@ runCampaign(const core::CampaignConfig &config)
     return runner.executeAll().replicates.front().sessions;
 }
 
-/** Run the three 2.4 GHz sessions (980/930/920 mV). */
-inline std::vector<core::SessionResult>
-run24GHzSessions(uint64_t seed = 0x5e5510ULL)
-{
-    const double scale = campaignScaleFromEnv(defaultScale);
-    return runCampaign(core::BeamCampaign::campaign24GHz(scale, seed));
-}
-
-/** Run all four paper sessions (adds 790 mV @ 900 MHz). */
+/** Run all four paper sessions (980/930/920 mV, 790 mV @ 900 MHz). */
 inline std::vector<core::SessionResult>
 runPaperSessions(uint64_t seed = 0x5e5510ULL)
 {
@@ -179,23 +172,24 @@ runPaperSessions(uint64_t seed = 0x5e5510ULL)
     return runCampaign(core::BeamCampaign::paperCampaign(scale, seed));
 }
 
-/** Run only the 790 mV @ 900 MHz session. */
-inline core::SessionResult
-run900MHzSession(uint64_t seed = 0x5e5510ULL)
-{
-    const double scale = campaignScaleFromEnv(defaultScale);
-    core::CampaignConfig config =
-        core::BeamCampaign::paperCampaign(scale, seed);
-    config.sessions.erase(config.sessions.begin(),
-                          config.sessions.begin() + 3);
-    return runCampaign(config).front();
-}
+/** One timed end-to-end campaign run: the A/B perf gates' unit. */
+struct TimedRun {
+    double seconds = 0.0;
+    core::ReplicatedCampaignResult result;
+};
 
-/** Print a paper-reference block for side-by-side comparison. */
-inline void
-paperReference(const std::string &text)
+/** Time `run` of `config` on the worker pool, tracing into `writer`. */
+inline TimedRun
+timedRun(const core::CampaignConfig &config,
+         const core::ParallelRunConfig &run,
+         trace::TraceWriter *writer = nullptr)
 {
-    std::printf("--- paper reference ---\n%s\n", text.c_str());
+    core::ParallelCampaignRunner runner(config, run);
+    TimedRun timed;
+    const telemetry::Stopwatch watch;
+    timed.result = runner.executeAll(writer);
+    timed.seconds = watch.seconds();
+    return timed;
 }
 
 } // namespace xser::bench

@@ -18,62 +18,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "bench_common.hh"
-#include "core/parallel_campaign.hh"
-#include "telemetry/stopwatch.hh"
-
-namespace {
-
-using namespace xser;
-
-/**
- * Recorded before/after of the tentpole change on this repo's pinned
- * throughput benchmark (bench_parallel_scaling, XSER_SCALE=0.01
- * XSER_JOBS=4, single-hardware-thread container): wall-clock for the
- * 8-unit sweep at 1 worker dropped from 142.28 s (seed implementation,
- * per-quantum Poisson sampling and full-codec reads everywhere) to
- * 20.84 s. These constants are documentation of that measurement, not
- * inputs to the gate below.
- */
-constexpr double referenceSeedSeconds = 142.28;
-constexpr double referenceCurrentSeconds = 20.84;
-
-/*
- * Recorded measurement of the checkpoint/fork engine on its own gate
- * (bench_checkpoint: 2 cliff-voltage sessions x 8 replicates, 1
- * worker): 17.90 s with the golden prefix replayed per replicate vs
- * 7.84 s forking one prefix snapshot per session. Documentation of
- * the trajectory, not an input to this binary's gate.
- */
-constexpr double referenceCheckpointOffSeconds = 17.90;
-constexpr double referenceCheckpointOnSeconds = 7.84;
-
-/** One timed end-to-end campaign run. */
-struct Timed {
-    double seconds = 0.0;
-    core::CampaignResult result;
-};
-
-Timed
-timedRun(const core::CampaignConfig &config)
-{
-    core::ParallelRunConfig run;
-    run.jobs = bench::benchJobs();
-    core::ParallelCampaignRunner runner(config, run);
-    Timed timed;
-    const telemetry::Stopwatch watch;
-    timed.result = runner.executeAll().replicates.front();
-    timed.seconds = watch.seconds();
-    return timed;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
+    using namespace xser;
     const std::string out_path =
         argc > 1 ? argv[1] : "BENCH_fastpath.json";
     const double min_speedup = argc > 2 ? std::atof(argv[2]) : 0.0;
@@ -84,14 +35,16 @@ main(int argc, char **argv)
     const double scale = bench::campaignScaleFromEnv(0.02);
 
     core::CampaignConfig config = core::BeamCampaign::paperCampaign(scale);
+    core::ParallelRunConfig run;
+    run.jobs = bench::benchJobs();
     core::setFastPath(config, false);
-    const Timed off = timedRun(config);
+    const bench::TimedRun off = bench::timedRun(config, run);
     core::setFastPath(config, true);
-    const Timed on = timedRun(config);
+    const bench::TimedRun on = bench::timedRun(config, run);
 
-    const bool identical = off.result == on.result;
+    const bool identical = off.result.replicates == on.result.replicates;
     const double speedup = off.seconds / on.seconds;
-    const double sessions = static_cast<double>(on.result.sessions.size());
+    const double sessions = static_cast<double>(config.sessions.size());
 
     std::printf("fast path off: %.2f s\n", off.seconds);
     std::printf("fast path on:  %.2f s\n", on.seconds);
@@ -108,22 +61,6 @@ main(int argc, char **argv)
     report.add("sessions_per_second_fast_on", sessions / on.seconds);
     report.add("sessions_per_second_fast_off", sessions / off.seconds);
     report.add("aggregates_identical", identical);
-    report.beginSection("reference_parallel_scaling");
-    report.add("bench", "bench_parallel_scaling XSER_SCALE=0.01 "
-                        "XSER_JOBS=4, 1 worker row");
-    report.add("seed_seconds", referenceSeedSeconds);
-    report.add("current_seconds", referenceCurrentSeconds);
-    report.add("speedup",
-               referenceSeedSeconds / referenceCurrentSeconds);
-    report.endSection();
-    report.beginSection("reference_checkpoint");
-    report.add("bench", "bench_checkpoint cliff-voltage sweep, "
-                        "2 sessions x 8 replicates, 1 worker");
-    report.add("checkpoint_off_seconds", referenceCheckpointOffSeconds);
-    report.add("checkpoint_on_seconds", referenceCheckpointOnSeconds);
-    report.add("speedup", referenceCheckpointOffSeconds /
-                              referenceCheckpointOnSeconds);
-    report.endSection();
     report.write(out_path);
 
     if (!identical)

@@ -17,26 +17,12 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "core/parallel_campaign.hh"
 #include "core/table_printer.hh"
-#include "telemetry/stopwatch.hh"
-
-namespace {
-
-using namespace xser;
-
-/** One timed sweep at a given worker count. */
-struct ScalingPoint {
-    unsigned jobs = 0;
-    double seconds = 0.0;
-    core::ReplicatedCampaignResult result;
-};
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
+    using namespace xser;
     const std::string out_path =
         argc > 1 ? argv[1] : "BENCH_scaling.json";
     bench::banner("Parallel scaling (4 sessions x 2 replicates)");
@@ -47,18 +33,13 @@ main(int argc, char **argv)
     const core::CampaignConfig config =
         core::BeamCampaign::paperCampaign(scale);
 
-    std::vector<ScalingPoint> points;
-    for (unsigned jobs : {1u, 2u, 4u, 8u}) {
+    const unsigned worker_counts[] = {1, 2, 4, 8};
+    std::vector<bench::TimedRun> points;
+    for (unsigned jobs : worker_counts) {
         core::ParallelRunConfig run;
         run.jobs = jobs;
         run.replicates = 2;
-        core::ParallelCampaignRunner runner(config, run);
-        const telemetry::Stopwatch watch;
-        ScalingPoint point;
-        point.result = runner.executeAll();
-        point.seconds = watch.seconds();
-        point.jobs = jobs;
-        points.push_back(std::move(point));
+        points.push_back(bench::timedRun(config, run));
     }
 
     bool identical = true;
@@ -67,11 +48,11 @@ main(int argc, char **argv)
                                      points[i].result.replicates;
 
     core::TablePrinter table({"workers", "seconds", "speedup"});
-    for (const auto &point : points) {
-        table.addRow({std::to_string(point.jobs),
-                      core::TablePrinter::fmt(point.seconds, 2),
+    for (size_t i = 0; i < points.size(); ++i) {
+        table.addRow({std::to_string(worker_counts[i]),
+                      core::TablePrinter::fmt(points[i].seconds, 2),
                       core::TablePrinter::fmt(
-                          points[0].seconds / point.seconds, 2) +
+                          points[0].seconds / points[i].seconds, 2) +
                           "x"});
     }
     std::printf("%s\n", table.toString().c_str());
@@ -87,8 +68,9 @@ main(int argc, char **argv)
                    std::thread::hardware_concurrency()));
     report.add("aggregates_identical", identical);
     report.beginSection("seconds_by_workers");
-    for (const auto &point : points)
-        report.add(std::to_string(point.jobs).c_str(), point.seconds);
+    for (size_t i = 0; i < points.size(); ++i)
+        report.add(std::to_string(worker_counts[i]).c_str(),
+                   points[i].seconds);
     report.endSection();
     report.write(out_path);
     return identical ? 0 : 1;

@@ -23,45 +23,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "bench_common.hh"
-#include "core/parallel_campaign.hh"
 #include "telemetry/metrics.hh"
-#include "telemetry/stopwatch.hh"
-
-namespace {
-
-using namespace xser;
-
-/** One timed campaign, metrics on or off. */
-struct Timed {
-    double seconds = 0.0;
-    core::ReplicatedCampaignResult result;
-};
-
-Timed
-timedRun(const core::CampaignConfig &config, bool metrics)
-{
-    core::ParallelRunConfig run;
-    run.jobs = bench::benchJobs();
-    run.replicates = 2;
-    telemetry::MetricRegistry registry(run.jobs);
-    if (metrics)
-        run.metrics = &registry;
-    core::ParallelCampaignRunner runner(config, run);
-    Timed timed;
-    const telemetry::Stopwatch watch;
-    timed.result = runner.executeAll();
-    timed.seconds = watch.seconds();
-    return timed;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
+    using namespace xser;
     const std::string out_path =
         argc > 1 ? argv[1] : "BENCH_telemetry.json";
     const double max_ratio = argc > 2 ? std::atof(argv[2]) : 0.0;
@@ -73,12 +42,23 @@ main(int argc, char **argv)
     const core::CampaignConfig config =
         core::BeamCampaign::paperCampaign(scale);
 
+    // Every metered run records into a fresh registry.
+    const auto timed = [&config](bool metrics) {
+        core::ParallelRunConfig run;
+        run.jobs = bench::benchJobs();
+        run.replicates = 2;
+        telemetry::MetricRegistry registry(run.jobs);
+        if (metrics)
+            run.metrics = &registry;
+        return bench::timedRun(config, run);
+    };
+
     // Interleave the modes so slow drift (thermal, other tenants)
     // lands on both sides of the ratio.
-    Timed off = timedRun(config, false);
-    Timed on = timedRun(config, true);
-    const Timed off2 = timedRun(config, false);
-    const Timed on2 = timedRun(config, true);
+    bench::TimedRun off = timed(false);
+    bench::TimedRun on = timed(true);
+    const bench::TimedRun off2 = timed(false);
+    const bench::TimedRun on2 = timed(true);
     off.seconds = std::min(off.seconds, off2.seconds);
     on.seconds = std::min(on.seconds, on2.seconds);
 

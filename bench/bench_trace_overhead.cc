@@ -18,42 +18,14 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "core/parallel_campaign.hh"
 #include "core/table_printer.hh"
-#include "telemetry/stopwatch.hh"
 #include "trace/trace_reader.hh"
 #include "trace/trace_writer.hh"
-
-namespace {
-
-using namespace xser;
-
-/** One timed campaign in a given trace mode. */
-struct ModePoint {
-    const char *mode = "";
-    double seconds = 0.0;
-    core::ReplicatedCampaignResult result;
-};
-
-ModePoint
-timedRun(const char *mode, const core::CampaignConfig &config,
-         const core::ParallelRunConfig &run,
-         trace::TraceWriter *writer)
-{
-    core::ParallelCampaignRunner runner(config, run);
-    const telemetry::Stopwatch watch;
-    ModePoint point;
-    point.result = runner.executeAll(writer);
-    point.seconds = watch.seconds();
-    point.mode = mode;
-    return point;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
+    using namespace xser;
     const std::string out_path =
         argc > 1 ? argv[1] : "BENCH_trace_overhead.json";
     bench::banner("Trace subsystem overhead (off / buffered / written)");
@@ -66,18 +38,19 @@ main(int argc, char **argv)
     run.jobs = bench::benchJobs();
     run.replicates = 2;
 
-    std::vector<ModePoint> points;
-    points.push_back(timedRun("off", config, run, nullptr));
+    const char *const modes[] = {"off", "buffered", "written"};
+    std::vector<bench::TimedRun> points;
+    points.push_back(bench::timedRun(config, run));
 
     core::ParallelRunConfig buffered = run;
     buffered.collectTrace = true;
-    points.push_back(timedRun("buffered", config, buffered, nullptr));
+    points.push_back(bench::timedRun(config, buffered));
 
     uint64_t trace_events = 0;
     uint64_t trace_bytes = 0;
     {
         trace::TraceWriter writer(trace_path);
-        points.push_back(timedRun("written", config, run, &writer));
+        points.push_back(bench::timedRun(config, run, &writer));
         const trace::TraceFile file = trace::readTraceFile(trace_path);
         if (!file.ok) {
             std::printf("trace unreadable: %s\n", file.error.c_str());
@@ -90,12 +63,10 @@ main(int argc, char **argv)
     }
 
     core::TablePrinter table({"mode", "seconds", "slowdown"});
-    for (const auto &point : points) {
-        table.addRow(
-            {point.mode, core::TablePrinter::fmt(point.seconds, 2),
-             core::TablePrinter::fmt(
-                 (point.seconds / points[0].seconds - 1.0) * 100.0, 1) +
-                 "%"});
+    for (size_t i = 0; i < points.size(); ++i) {
+        const double slowdown = points[i].seconds / points[0].seconds - 1.0;
+        table.addRow({modes[i], core::TablePrinter::fmt(points[i].seconds, 2),
+                      core::TablePrinter::fmt(slowdown * 100.0, 1) + "%"});
     }
     std::printf("%s\n", table.toString().c_str());
     std::printf("trace: %llu events, %llu bytes on disk\n",
@@ -116,8 +87,8 @@ main(int argc, char **argv)
     report.add("trace_bytes", trace_bytes);
     report.add("aggregates_identical", identical);
     report.beginSection("seconds_by_mode");
-    for (const auto &point : points)
-        report.add(point.mode, point.seconds);
+    for (size_t i = 0; i < points.size(); ++i)
+        report.add(modes[i], points[i].seconds);
     report.endSection();
     report.write(out_path);
     return identical ? 0 : 1;

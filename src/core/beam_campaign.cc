@@ -19,6 +19,13 @@ setFastPath(CampaignConfig &config, bool enabled)
         session.beam.skipAhead = enabled;
 }
 
+uint64_t
+scaledEventTarget(uint64_t base, double scale)
+{
+    return std::max<uint64_t>(
+        8, static_cast<uint64_t>(static_cast<double>(base) * scale));
+}
+
 namespace {
 
 SessionConfig
@@ -41,8 +48,7 @@ BeamCampaign::paperCampaign(double scale, uint64_t seed)
     XSER_ASSERT(validCampaignScale(scale),
                 "campaign scale out of range");
     const auto events = [scale](uint64_t base) {
-        return std::max<uint64_t>(
-            8, static_cast<uint64_t>(static_cast<double>(base) * scale));
+        return scaledEventTarget(base, scale);
     };
     CampaignConfig config;
     // Sessions 1-3: the Section 3.5 rules (events or 1.5e11 fluence).

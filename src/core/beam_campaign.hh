@@ -33,6 +33,14 @@ struct CampaignConfig {
  */
 void setFastPath(CampaignConfig &config, bool enabled);
 
+/**
+ * A session's error-event stop target: `base` events scaled by a
+ * stop-criteria scale, floored at 8. A bare cast would truncate to zero
+ * below a scale of 1/base, and a zero target ends the session before
+ * its measured phase runs.
+ */
+uint64_t scaledEventTarget(uint64_t base, double scale);
+
 /** Campaign outcome: one result per session, in order. */
 struct CampaignResult {
     std::vector<SessionResult> sessions;

@@ -10,7 +10,7 @@
  * raw SRAM SER grows only ~10-40 % across the safe undervolting
  * range, while the *silent data corruption* rate of the full system
  * explodes ~16x at Vmin because unprotected core logic couples to the
- * vanishing timing slack. bench_baseline_extrapolation puts the two
+ * vanishing timing slack. bench_paper's baseline table puts the two
  * side by side.
  */
 

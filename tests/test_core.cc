@@ -493,6 +493,14 @@ TEST(BeamCampaign, ScaleShrinksTargets)
     EXPECT_GE(fast.sessions[0].maxErrorEvents, 8u);
 }
 
+TEST(BeamCampaign, ScaledEventTargetNeverTruncatesToZero)
+{
+    EXPECT_EQ(scaledEventTarget(141, 1.0), 141u);
+    EXPECT_EQ(scaledEventTarget(80, 0.22), 17u);
+    // A bare cast gives 0 below a scale of 1/base.
+    EXPECT_EQ(scaledEventTarget(80, 0.005), 8u);
+}
+
 TEST(BeamCampaign, Campaign24GHzDropsThe900MHzSession)
 {
     const CampaignConfig config = BeamCampaign::campaign24GHz(1.0);
