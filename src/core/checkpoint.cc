@@ -78,9 +78,7 @@ openCheckpoint(std::string_view bytes)
     }
     view.ok = true;
     view.payload = payload;
-    telemetry::count(telemetry::Counter::CheckpointsOpened);
-    telemetry::count(telemetry::Counter::CheckpointOpenedBytes,
-                     bytes.size());
+    view.envelopeBytes = bytes.size();
     return view;
 }
 

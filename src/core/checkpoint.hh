@@ -18,9 +18,11 @@
  * openCheckpoint() validates every field before exposing the payload
  * and reports failures gracefully ({ok, error}, mirroring the .xtrace
  * reader): a checkpoint crossing a process or version boundary is
- * external input. Once the checksum has passed, a payload that does
- * not load cleanly indicates a logic bug, and the restoring caller
- * (core::ShardExecutor) fails hard.
+ * external input. Each process opens an envelope once, right after
+ * sealing it (core::ShardExecutor::openPrefix), and restores every
+ * unit from that one verified view. Once the checksum has passed, a
+ * payload that does not load cleanly indicates a logic bug, and the
+ * restoring caller (core::ShardExecutor) fails hard.
  */
 
 #ifndef XSER_CORE_CHECKPOINT_HH
@@ -53,6 +55,7 @@ struct CheckpointView {
     uint32_t sessionIndex = 0;
     uint64_t configHash = 0;
     std::string_view payload;    ///< into the caller's buffer
+    uint64_t envelopeBytes = 0;  ///< whole envelope, header included
 };
 
 /**

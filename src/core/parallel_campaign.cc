@@ -213,16 +213,20 @@ ParallelCampaignRunner::executeAll(trace::TraceWriter *trace_writer)
     };
 
     // Phase 1 (checkpoint mode): one golden prefix per session, sealed
-    // into an envelope. The prefix never consumes the session seed
-    // (see TestSession), so one snapshot serves all replicate
-    // continuations -- this is what importance splitting buys: the
-    // seed-independent work is paid num_sessions times instead of
-    // `units` times.
+    // into an envelope and verified once. The prefix never consumes the
+    // session seed (see TestSession), so one snapshot serves all
+    // replicate continuations -- this is what importance splitting
+    // buys: the seed-independent work is paid num_sessions times
+    // instead of `units` times. The slots are pre-sized, so each view
+    // keeps aliasing its envelope.
     std::vector<std::string> checkpoints(
         run_.checkpoint ? num_sessions : 0);
+    std::vector<CheckpointView> prefixes(checkpoints.size());
     if (run_.checkpoint) {
         run_pool(num_sessions, [&](size_t session) {
             checkpoints[session] = executor.sealPrefix(session);
+            prefixes[session] =
+                executor.openPrefix(checkpoints[session], session);
             if (run_.progress != nullptr)
                 run_.progress->tick();
         });
@@ -236,7 +240,7 @@ ParallelCampaignRunner::executeAll(trace::TraceWriter *trace_writer)
         const size_t session = unit % num_sessions;
         outcomes[unit] = executor.runUnit(
             session, static_cast<unsigned>(unit / num_sessions),
-            run_.checkpoint ? &checkpoints[session] : nullptr);
+            run_.checkpoint ? &prefixes[session] : nullptr);
         if (run_.progress != nullptr)
             run_.progress->tick();
     });

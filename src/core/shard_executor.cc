@@ -7,7 +7,6 @@
 
 #include <memory>
 
-#include "core/checkpoint.hh"
 #include "core/parallel_campaign.hh"
 #include "core/test_session.hh"
 #include "sim/logging.hh"
@@ -55,39 +54,52 @@ ShardExecutor::sealPrefix(size_t session_index) const
     return envelope;
 }
 
+CheckpointView
+ShardExecutor::openPrefix(const std::string &envelope,
+                          size_t session_index) const
+{
+    const telemetry::ScopedPhase timer(telemetry::Phase::SnapshotRestore);
+    CheckpointView view = openCheckpoint(envelope);
+    if (!view.ok)
+        fatal(msg("refusing checkpoint for session ", session_index, ": ",
+                  view.error));
+    return view;
+}
+
 namespace {
 
 /**
  * Run a constructed session to completion: the whole session, or --
- * given a checkpoint envelope -- the session's prefix restored from it
- * and only the (seed-dependent) continuation run.
+ * given a verified prefix view -- the session's prefix restored from
+ * it and only the (seed-dependent) continuation run.
  */
 SessionResult
 runSession(TestSession &session, size_t session_index,
-           uint64_t config_hash, const std::string *checkpoint)
+           uint64_t config_hash, const CheckpointView *prefix)
 {
-    if (checkpoint == nullptr) {
+    if (prefix == nullptr) {
         const telemetry::ScopedPhase timer(
             telemetry::Phase::Continuation);
         return session.execute();
     }
 
-    // The envelope re-validates even though the executor may have
-    // sealed it moments ago -- the checksum is cheap next to a session,
-    // and a checkpoint that crossed a process or host boundary is
-    // external input.
+    // The checksum was verified once, when this process sealed the
+    // envelope (openPrefix); the buffer is immutable since, and no
+    // envelope crosses a process boundary today. Re-hashing the ~60 MB
+    // payload per unit would cost more than the restore itself, so only
+    // the O(1) identity checks run here.
     {
         const telemetry::ScopedPhase timer(
             telemetry::Phase::SnapshotRestore);
-        const CheckpointView view = openCheckpoint(*checkpoint);
-        if (!view.ok)
-            fatal(msg("refusing checkpoint for session ",
-                      session_index, ": ", view.error));
-        XSER_ASSERT(view.sessionIndex == session_index,
+        XSER_ASSERT(prefix->ok, "restore from an unopened checkpoint");
+        XSER_ASSERT(prefix->sessionIndex == session_index,
                     "checkpoint/session index mismatch");
-        XSER_ASSERT(view.configHash == config_hash,
+        XSER_ASSERT(prefix->configHash == config_hash,
                     "checkpoint/campaign config hash mismatch");
-        ByteReader reader(view.payload);
+        telemetry::count(telemetry::Counter::CheckpointsOpened);
+        telemetry::count(telemetry::Counter::CheckpointOpenedBytes,
+                         prefix->envelopeBytes);
+        ByteReader reader(prefix->payload);
         Archive archive(reader);
         session.visitPrefix(archive);
         if (!reader.atEnd())
@@ -103,7 +115,7 @@ runSession(TestSession &session, size_t session_index,
 
 UnitOutcome
 ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
-                       const std::string *checkpoint) const
+                       const CheckpointView *prefix) const
 {
     telemetry::MetricShard *shard = telemetry::activeShard();
     const uint64_t begin_nanos =
@@ -132,7 +144,7 @@ ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
 
     UnitOutcome outcome;
     outcome.result =
-        runSession(session, session_index, configHash_, checkpoint);
+        runSession(session, session_index, configHash_, prefix);
     if (buffer != nullptr) {
         const telemetry::ScopedPhase timer(telemetry::Phase::TraceWrite);
         outcome.traceEventCount = buffer->events().size();

@@ -21,6 +21,7 @@
 #include <string>
 
 #include "core/beam_campaign.hh"
+#include "core/checkpoint.hh"
 
 namespace xser::core {
 
@@ -63,17 +64,30 @@ class ShardExecutor
     std::string sealPrefix(size_t session_index) const;
 
     /**
+     * Verify a sealed envelope once (openCheckpoint: magic, version,
+     * sizes, payload checksum) and return the view every unit of the
+     * session restores from. The view aliases `envelope`, which must
+     * outlive it and stay unmodified. Fatal ("refusing checkpoint for
+     * session N: <error>") when the envelope does not open. Timed as
+     * phase SnapshotRestore on the caller's active shard.
+     */
+    CheckpointView openPrefix(const std::string &envelope,
+                              size_t session_index) const;
+
+    /**
      * Run one (session, replicate) unit on a fresh platform. When
-     * `checkpoint` is non-null the unit restores the session's prefix
-     * from it and runs only the continuation; otherwise it replays
-     * the whole session. A traced unit records into its own buffer
-     * and returns it encoded, so no sink is ever shared between
-     * units. Records the per-unit telemetry (UnitsCompleted,
-     * RunsPerUnit, ErrorEventsPerUnit, and the timing-quarantined
-     * UnitSeconds / unitsExecuted) on the caller's active shard.
+     * `prefix` is non-null -- an ok view from openPrefix() -- the unit
+     * restores the session's prefix from it and runs only the
+     * continuation; otherwise it replays the whole session. A traced
+     * unit records into its own buffer and returns it encoded, so no
+     * sink is ever shared between units. Records the per-unit
+     * telemetry (UnitsCompleted, RunsPerUnit, ErrorEventsPerUnit, the
+     * restore's CheckpointsOpened / CheckpointOpenedBytes, and the
+     * timing-quarantined UnitSeconds / unitsExecuted) on the caller's
+     * active shard.
      */
     UnitOutcome runUnit(size_t session_index, unsigned replicate_index,
-                        const std::string *checkpoint) const;
+                        const CheckpointView *prefix) const;
 
   private:
     CampaignConfig config_;

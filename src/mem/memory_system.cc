@@ -405,11 +405,16 @@ MemorySystem::writeWord(unsigned core, Addr addr, uint64_t value)
             other_l1.invalidateWay(addr, other_way);
     }
 
-    // Write-through into the (write-back, write-allocate) L2.
+    // Write-through into the (write-back, write-allocate) L2. A line
+    // its own L2 already holds is in no other L2 (the single-owner
+    // invariant, see the header), so only a miss needs the snoop; the
+    // reference path snoops every write, which proves the skip
+    // unobservable.
     const unsigned pair = core / 2;
-    snoopOtherL2s(pair, line_addr);
     Cache &cache = *l2_[pair];
     int l2_way = cache.findWay(addr);
+    if (l2_way < 0 || !config_.fastPath)
+        snoopOtherL2s(pair, line_addr);
     if (l2_way < 0) {
         cache.recordMiss();
         readLineFromL3(line_addr, lineScratch_);

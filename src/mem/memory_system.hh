@@ -14,6 +14,15 @@
  * write-invalidate snoop: good enough for partitioned HPC workloads and
  * guarantees single-writer correctness so that every output mismatch is
  * genuinely radiation-induced.
+ *
+ * Single-owner invariant: a line is resident in at most one L2. Only
+ * installL2 adds an L2 line, and each of its callers first either
+ * snoops the other L2s (readLineFromL2's miss, writeWord's miss) or
+ * has just dropped a poisoned clean copy its own L2 alone held
+ * (readLineFromL2's uncorrectable hit). Beam flips, scrubs, flushAll
+ * and snapshot loads never install a line. writeWord relies on this:
+ * with the fast path on, a write its own L2 already holds snoops no
+ * other L2.
  */
 
 #ifndef XSER_MEM_MEMORY_SYSTEM_HH
@@ -184,7 +193,10 @@ class MemorySystem
     /** Write a full line into L3 (allocating if needed). */
     void writeLineToL3(Addr line_addr, const std::vector<uint64_t> &line);
 
-    /** Snoop other L2s before taking write ownership / reading L3. */
+    /**
+     * Snoop other L2s before an L2 miss reads L3 (for a read or a
+     * write-allocate); the reference path also snoops every write hit.
+     */
     void snoopOtherL2s(unsigned writing_pair, Addr line_addr);
 
     /** DRAM access helpers (backing store is authoritative + ECC'd). */

@@ -23,9 +23,13 @@ namespace xser::service {
 
 namespace {
 
-/** Cached per-session prefix state within one campaign. */
+/**
+ * Cached per-session prefix state within one campaign. Map nodes never
+ * move, so `view` keeps aliasing `checkpoint`.
+ */
 struct PrefixEntry {
     std::string checkpoint;
+    core::CheckpointView view; ///< verified once, when sealed
     std::string telemetryBlob; ///< cleared once sent
 };
 
@@ -188,7 +192,7 @@ class Worker
         result.replicateBegin = assign.replicateBegin;
         result.replicateEnd = assign.replicateEnd;
 
-        const std::string *checkpoint = nullptr;
+        const core::CheckpointView *prefix = nullptr;
         if (assign.params.checkpoint) {
             PrefixEntry &entry = campaign.prefixes[assign.session];
             if (entry.checkpoint.empty()) {
@@ -200,6 +204,8 @@ class Worker
                     const telemetry::ShardScope scope(&prefix_shard);
                     entry.checkpoint =
                         executor.sealPrefix(assign.session);
+                    entry.view = executor.openPrefix(entry.checkpoint,
+                                                     assign.session);
                 }
                 entry.telemetryBlob = encode(prefix_shard);
             }
@@ -208,7 +214,7 @@ class Worker
                     std::move(entry.telemetryBlob);
                 entry.telemetryBlob.clear();
             }
-            checkpoint = &entry.checkpoint;
+            prefix = &entry.view;
         }
 
         telemetry::MetricShard shard_telemetry;
@@ -217,8 +223,7 @@ class Worker
             for (uint32_t replicate = assign.replicateBegin;
                  replicate < assign.replicateEnd; ++replicate)
                 result.units.push_back(UnitResultMsg{
-                    executor.runUnit(assign.session, replicate,
-                                     checkpoint),
+                    executor.runUnit(assign.session, replicate, prefix),
                     replicate});
         }
         result.shardTelemetry = encode(shard_telemetry);

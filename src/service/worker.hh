@@ -9,8 +9,8 @@
  * (heartbeating so the server's idle timeout never fires) and computes
  * synchronously while assigned -- the server knows not to expect
  * liveness from a busy worker. Golden-prefix checkpoints are sealed
- * once per (campaign, session) and cached, mirroring the local
- * runner's phase 1.
+ * and verified once per (campaign, session) and cached, mirroring the
+ * local runner's phase 1.
  */
 
 #ifndef XSER_SERVICE_WORKER_HH

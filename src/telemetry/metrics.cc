@@ -72,14 +72,18 @@ phaseName(Phase phase)
 
 namespace {
 
-/** Fixed shape per distribution; overflow buckets catch the tails. */
+/**
+ * Fixed shape per distribution; overflow buckets catch the tails.
+ * Sealed envelopes are ~61,000 KB at any scale (the prefix is a dense
+ * dump of the hierarchy), so CheckpointKilobytes bins in 2 MiB steps.
+ */
 Histogram
 makeDist(Dist dist)
 {
     switch (dist) {
       case Dist::RunsPerUnit: return Histogram(0.0, 4096.0, 64);
       case Dist::ErrorEventsPerUnit: return Histogram(0.0, 256.0, 64);
-      case Dist::CheckpointKilobytes: return Histogram(0.0, 4096.0, 64);
+      case Dist::CheckpointKilobytes: return Histogram(0.0, 131072.0, 64);
       case Dist::UnitSeconds: return Histogram(0.0, 60.0, 60);
       case Dist::NumDists: break;
     }

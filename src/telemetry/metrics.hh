@@ -39,13 +39,13 @@ enum class Counter : uint32_t {
     SessionsPrefixed,      ///< golden prefixes executed (phase 1)
     CheckpointsSealed,     ///< checkpoint envelopes written
     CheckpointSealedBytes, ///< total sealed envelope bytes
-    CheckpointsOpened,     ///< envelopes validated and restored
-    CheckpointOpenedBytes, ///< total opened envelope bytes
+    CheckpointsOpened,     ///< units restored from an envelope
+    CheckpointOpenedBytes, ///< envelope bytes restored, one per unit
     EdacCorrected,         ///< CE posts through EdacReporter
     EdacUncorrected,       ///< UE posts through EdacReporter
     ScrubPasses,           ///< scrubber advances that scrubbed lines
     ScrubLines,            ///< cache lines swept by the scrubber
-    SnoopProbes,           ///< L2 coherence snoops examined
+    SnoopProbes,           ///< L2 coherence snoops performed
     SnoopsFiltered,        ///< snoops skipped by the residency filter
     BeamArrivals,          ///< upset events injected by the beam
     BeamSettles,           ///< beam settle() evaluations

@@ -18,9 +18,11 @@
 #include "core/beam_campaign.hh"
 #include "core/checkpoint.hh"
 #include "core/parallel_campaign.hh"
+#include "core/shard_executor.hh"
 #include "core/test_session.hh"
 #include "cpu/xgene2_platform.hh"
 #include "sim/bytes.hh"
+#include "telemetry/metrics.hh"
 #include "trace/trace_writer.hh"
 
 namespace xser::core {
@@ -237,6 +239,55 @@ TEST(CheckpointRoundTrip, OnePrefixForksDistinctSeeds)
         results.push_back(actual);
     }
     EXPECT_NE(results[0].rawUpsetEvents, results[1].rawUpsetEvents);
+}
+
+/** Two tiny sessions as one campaign, for the executor-level tests. */
+CampaignConfig
+twoTinySessions()
+{
+    CampaignConfig config;
+    config.sessions = {tinySession(1), tinySession(2)};
+    return config;
+}
+
+TEST(CheckpointPrefixDeath, OpenOnceRefusesACorruptedEnvelope)
+{
+    // Units trust the view openPrefix returns, so the one-time check
+    // is the only one: a flipped payload byte must stop the process.
+    const ShardExecutor executor(twoTinySessions(), 0x5e5510ULL, 0);
+    std::string envelope = executor.sealPrefix(1);
+    envelope[envelope.size() / 2] ^= 0x01;
+    EXPECT_EXIT(executor.openPrefix(envelope, 1),
+                ::testing::ExitedWithCode(1),
+                "refusing checkpoint for session 1: checkpoint payload "
+                "checksum mismatch");
+}
+
+TEST(CheckpointTelemetry, OpenedCountersCountOneRestorePerUnit)
+{
+    // Each envelope is verified once, but every unit restores from
+    // one: the opened counters stay per unit, so a local pool (one
+    // open per session) and a worker (one per session it seals) report
+    // the same manifest.
+    telemetry::MetricRegistry registry(2);
+    ParallelRunConfig run;
+    run.jobs = 2;
+    run.replicates = 3;
+    run.metrics = &registry;
+    ParallelCampaignRunner runner(twoTinySessions(), run);
+    runner.executeAll();
+
+    const telemetry::MetricShard merged = registry.merged();
+    auto counter = [&merged](telemetry::Counter which) {
+        return merged.counters[static_cast<size_t>(which)];
+    };
+    EXPECT_EQ(counter(telemetry::Counter::CheckpointsSealed), 2u);
+    EXPECT_EQ(counter(telemetry::Counter::CheckpointsOpened), 6u);
+    // Each session's envelope is sealed once and restored by its three
+    // units, so the unit envelopes sum to three times the sealed bytes.
+    EXPECT_GT(counter(telemetry::Counter::CheckpointSealedBytes), 0u);
+    EXPECT_EQ(counter(telemetry::Counter::CheckpointOpenedBytes),
+              3 * counter(telemetry::Counter::CheckpointSealedBytes));
 }
 
 /**

@@ -13,8 +13,11 @@
 #include "mem/scrubber.hh"
 #include "mem/sram_array.hh"
 #include "mem/tlb.hh"
+#include "sim/bytes.hh"
 #include "sim/rng.hh"
+#include "telemetry/metrics.hh"
 
+#include <string>
 #include <vector>
 
 namespace xser::mem {
@@ -349,6 +352,125 @@ TEST(MemorySystem, RandomizedCoherenceAgainstReferenceModel)
                       reference[index])
                 << "op " << op << " core " << core << " idx " << index;
         }
+    }
+}
+
+/** What one run of the owner mix below observed. */
+struct OwnerMixRun {
+    std::vector<uint64_t> reads;
+    EdacTally l2Tally;
+    std::string snapshot;
+};
+
+/**
+ * The op mix of RandomizedCoherenceAgainstReferenceModel over a working
+ * set twice an L2's size, plus L2 bit flips (one bit: corrected in
+ * place; a second bit in the same word: a poisoned line, dropped and
+ * refetched when clean) and patrol-scrub passes. After every op, no
+ * line may be resident in two L2s (memory_system.hh's single-owner
+ * invariant).
+ */
+void
+runOwnerMix(bool fast_path, OwnerMixRun &out)
+{
+    MemorySystemConfig config = tinyConfig();
+    config.numCores = 4;
+    config.fastPath = fast_path;
+    EdacReporter reporter;
+    MemorySystem memory(config, &reporter);
+    const size_t words = 2 * config.l2Bytes / 8;
+    const Addr base = memory.allocate(words * 8, "owner");
+    for (size_t i = 0; i < words; ++i)
+        memory.writeWord(0, base + 8 * i, 0);
+
+    Rng rng(0xc0ffeeULL);
+    for (int op = 0; op < 20000; ++op) {
+        const auto core = static_cast<unsigned>(rng.nextBounded(4));
+        const size_t index = rng.nextBounded(words);
+        if (rng.nextBool(0.5))
+            memory.writeWord(core, base + 8 * index, rng.nextU64());
+        else
+            out.reads.push_back(memory.readWord(core, base + 8 * index));
+        if (rng.nextBool(0.05)) {
+            SramArray &array =
+                memory.l2(static_cast<unsigned>(rng.nextBounded(2)))
+                    .dataArray();
+            const size_t word = rng.nextBounded(array.words());
+            const auto bit =
+                static_cast<unsigned>(rng.nextBounded(array.bitsPerWord()));
+            array.flipBit(word, bit);
+            if (rng.nextBool(0.5))
+                array.flipBit(word, (bit + 1) % array.bitsPerWord());
+        }
+        if (rng.nextBool(0.02))
+            memory.scrub(16, 64);
+        for (Addr line = base; line < base + words * 8;
+             line += config.lineBytes) {
+            ASSERT_LE(static_cast<int>(memory.l2(0).contains(line)) +
+                          static_cast<int>(memory.l2(1).contains(line)),
+                      1)
+                << "op " << op << " line 0x" << std::hex << line;
+        }
+    }
+    out.l2Tally = reporter.tally(CacheLevel::L2);
+    // A word's check bits are derived lazily: the reference codec
+    // materializes them on every read, the fast path only once a flip
+    // or a checked read needs them. Reading every clean word through
+    // the reference codec (which changes nothing else) makes both runs'
+    // check bits explicit before the byte comparison.
+    for (BeamTarget &target : memory.beamTargets()) {
+        target.array->setFastPath(false);
+        for (size_t word = 0; word < target.array->words(); ++word) {
+            if (!target.array->isCorrupted(word))
+                target.array->read(word);
+        }
+    }
+    ByteWriter writer;
+    Archive archive(writer);
+    memory.visit(archive);
+    out.snapshot = writer.take();
+}
+
+TEST(MemorySystem, OneL2OwnerPerLineUnderFlipsAndScrubsAnyFastPath)
+{
+    // The invariant is what lets the fast path skip the snoop on a
+    // write its own L2 already holds; the reference path snoops every
+    // write, so equal reads and equal snapshot bytes prove the skip
+    // unobservable.
+    OwnerMixRun fast;
+    OwnerMixRun reference;
+    ASSERT_NO_FATAL_FAILURE(runOwnerMix(true, fast));
+    ASSERT_NO_FATAL_FAILURE(runOwnerMix(false, reference));
+    ASSERT_EQ(fast.reads.size(), reference.reads.size());
+    for (size_t i = 0; i < fast.reads.size(); ++i)
+        ASSERT_EQ(fast.reads[i], reference.reads[i]) << "read " << i;
+    EXPECT_EQ(fast.l2Tally, reference.l2Tally);
+    EXPECT_GT(fast.l2Tally.corrected, 0u);
+    EXPECT_GT(fast.l2Tally.uncorrected, 0u);
+    EXPECT_TRUE(fast.snapshot == reference.snapshot)
+        << "fast-path and reference snapshots differ";
+}
+
+TEST(MemorySystem, OwnL2WriteHitSnoopsOnlyOnTheReferencePath)
+{
+    for (const bool fast_path : {true, false}) {
+        MemorySystemConfig config = tinyConfig();
+        config.numCores = 8;
+        config.fastPath = fast_path;
+        EdacReporter reporter;
+        MemorySystem memory(config, &reporter);
+        const Addr addr = memory.allocate(64, "t");
+        memory.writeWord(0, addr, 1); // miss: pair 0 takes the line
+        telemetry::MetricShard shard;
+        {
+            const telemetry::ShardScope scope(&shard);
+            memory.writeWord(1, addr, 2); // pair 0's own-L2 hit
+        }
+        EXPECT_EQ(shard.counters[static_cast<size_t>(
+                      telemetry::Counter::SnoopProbes)],
+                  fast_path ? 0u : 3u)
+            << "fast path " << fast_path;
+        EXPECT_EQ(memory.readWord(6, addr), 2u);
     }
 }
 

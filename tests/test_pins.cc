@@ -92,7 +92,7 @@ TEST(BytePins, ServiceMessages)
     EXPECT_EQ(digest(encodeMessage(service::ErrorMsgMsg{3, "bad hello"})),
               0x82f2fbe6704a87d6ULL);
     EXPECT_EQ(digest(encodeMessage(samples::sampleMetricShard())),
-              0xd0ca02db9c887cf3ULL);
+              0x7258f0a4a50b41b4ULL);
 }
 
 TEST(BytePins, NetFrame)
