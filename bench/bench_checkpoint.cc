@@ -3,7 +3,8 @@
  * Throughput gate for the checkpoint/fork engine: run the same
  * replicated cliff-voltage sweep with checkpointing off (every
  * replicate replays the golden prefix) and on (one prefix snapshot per
- * session, forked per replicate), assert the aggregates are
+ * prefix key -- both sessions share one -- forked to every unit),
+ * assert the aggregates are
  * bit-identical, and emit the measurement as BENCH_checkpoint.json for
  * CI artifact upload and regression tracking.
  *
@@ -12,7 +13,7 @@
  * phase stops after a handful of error events, replicated several
  * times for confidence intervals. Replaying the prefix then costs more
  * than the continuations it feeds (DESIGN.md section 10 derives the
- * expected speedup R(P+C)/(P+RC)).
+ * expected speedup R(P+C)/(P+R(C+S)) over the R units of one key).
  *
  * Usage: bench_checkpoint [output.json] [min-speedup]
  *
@@ -34,7 +35,7 @@ namespace {
 
 using namespace xser;
 
-/** Whole-campaign replicates: the fork fan-out per checkpoint. */
+/** Whole-campaign replicates of the two-session sweep. */
 constexpr unsigned replicates = 8;
 
 /**
@@ -91,9 +92,9 @@ main(int argc, char **argv)
     std::printf("checkpoint off: %.2f s (%zu sessions x %u replicates, "
                 "prefix replayed per unit)\n",
                 off.seconds, config.sessions.size(), replicates);
-    std::printf("checkpoint on:  %.2f s (one prefix per session, "
-                "forked %u ways)\n",
-                on.seconds, replicates);
+    std::printf("checkpoint on:  %.2f s (one prefix per key, forked to "
+                "%.0f units)\n",
+                on.seconds, units);
     std::printf("speedup:        %.2fx\n", speedup);
     std::printf("bit-identical aggregates: %s\n",
                 identical ? "yes" : "NO -- EQUIVALENCE BROKEN");

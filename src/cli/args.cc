@@ -5,7 +5,10 @@
 
 #include "cli/args.hh"
 
+#include <algorithm>
 #include <cstdlib>
+#include <span>
+#include <string_view>
 #include <thread>
 
 #include "core/beam_campaign.hh"
@@ -19,6 +22,63 @@ namespace {
 
 /** Upper bound for --trace-buffer-events (2^30 events = ~32 GB). */
 constexpr uint64_t maxTraceBufferEvents = uint64_t(1) << 30;
+
+// The options each command reads. `--help` is answered before any
+// command runs, so no list names it.
+constexpr std::string_view campaignOptions[] = {
+    "scale",    "seed",  "replicates", "checkpoint",
+    "fastpath", "trace", "metrics",    "trace-buffer-events"};
+constexpr std::string_view specOptions[] = {"quiet"};
+constexpr std::string_view characterizeOptions[] = {
+    "quiet", "freq", "start", "stop", "runs", "seed", "csv"};
+constexpr std::string_view sessionOptions[] = {
+    "quiet", "pmd",      "soc", "freq",  "events",  "fluence",
+    "warmup", "seed", "fastpath", "csv", "trace", "metrics",
+    "trace-buffer-events"};
+constexpr std::string_view campaignCliOptions[] = {"quiet", "jobs",
+                                                   "progress", "csv"};
+constexpr std::string_view tradeoffOptions[] = {
+    "quiet", "devices", "checkpoint", "altitude", "budget"};
+constexpr std::string_view avfOptions[] = {
+    "quiet", "workload", "trials", "flips", "burst", "seed"};
+constexpr std::string_view serverOptions[] = {
+    "host", "port", "port-file", "max-campaigns", "shard-replicates",
+    "handshake-timeout", "idle-timeout"};
+constexpr std::string_view workerOptions[] = {"port", "host", "heartbeat",
+                                              "crash-on-shard"};
+constexpr std::string_view clientRunOptions[] = {
+    "port", "host", "reconnect-attempts", "detach", "progress"};
+constexpr std::string_view clientAttachOptions[] = {
+    "port", "host", "reconnect-attempts", "id", "progress"};
+constexpr std::string_view clientShutdownOptions[] = {
+    "port", "host", "reconnect-attempts"};
+
+/** One command's options: its own, plus a group it shares. */
+struct CommandOptions {
+    std::string_view tool;
+    std::string_view command; ///< empty for the daemons
+    std::span<const std::string_view> own;
+    std::span<const std::string_view> shared;
+};
+
+/*
+ * Compile-time data, so the check allocates nothing: a table built on
+ * the heap at start-up shifted glibc's heap layout enough to raise
+ * `xser avf`'s peak RSS from 65.6 to 68.4 MB (x86-64 Linux).
+ */
+constexpr CommandOptions optionTable[] = {
+    {"xser", "spec", specOptions, {}},
+    {"xser", "characterize", characterizeOptions, {}},
+    {"xser", "session", sessionOptions, {}},
+    {"xser", "campaign", campaignCliOptions, campaignOptions},
+    {"xser", "tradeoff", tradeoffOptions, {}},
+    {"xser", "avf", avfOptions, {}},
+    {"xser-server", "", serverOptions, {}},
+    {"xser-worker", "", workerOptions, {}},
+    {"xser-client", "run", clientRunOptions, campaignOptions},
+    {"xser-client", "attach", clientAttachOptions, {}},
+    {"xser-client", "shutdown", clientShutdownOptions, {}},
+};
 
 } // namespace
 
@@ -37,6 +97,8 @@ Args::parse(int argc, const char *const *argv)
                 std::string(argv[i + 1]).rfind("--", 0) != 0) {
                 value = argv[++i];
             }
+            if (args.options_.count(key) == 0)
+                args.order_.push_back(key);
             args.options_[key] = value;
         } else if (args.command_.empty()) {
             args.command_ = token;
@@ -118,14 +180,24 @@ Args::getJobs(const std::string &key, unsigned fallback) const
     return static_cast<unsigned>(value);
 }
 
-std::vector<std::string>
-Args::keys() const
+void
+requireKnownOptions(const Args &args, const std::string &tool)
 {
-    std::vector<std::string> keys;
-    keys.reserve(options_.size());
-    for (const auto &[key, value] : options_)
-        keys.push_back(key);
-    return keys;
+    const auto listed = [](std::span<const std::string_view> options,
+                           const std::string &key) {
+        return std::find(options.begin(), options.end(), key) !=
+               options.end();
+    };
+    for (const CommandOptions &entry : optionTable) {
+        if (entry.tool != tool || entry.command != args.command())
+            continue;
+        for (const std::string &key : args.keys())
+            if (!listed(entry.own, key) && !listed(entry.shared, key))
+                fatal(msg("unknown option --", key, " for ", tool,
+                          entry.command.empty() ? "" : " ", entry.command,
+                          " (see ", tool, " --help)"));
+        return;
+    }
 }
 
 bool

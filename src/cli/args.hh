@@ -61,13 +61,26 @@ class Args
      */
     unsigned getJobs(const std::string &key, unsigned fallback) const;
 
-    /** All option keys seen, for unknown-option diagnostics. */
-    std::vector<std::string> keys() const;
+    /**
+     * All option keys seen, in command-line order (a repeated option
+     * once, where it first appeared), for unknown-option diagnostics.
+     */
+    const std::vector<std::string> &keys() const { return order_; }
 
   private:
     std::string command_;
     std::map<std::string, std::string> options_;
+    std::vector<std::string> order_;
 };
+
+/**
+ * Refuse a misspelled or foreign option: fatal (exit 1) naming the
+ * first option, in command-line order, that `tool`'s command
+ * args.command() does not read. `tool` is the executable name --
+ * "xser", "xser-server", "xser-worker" or "xser-client". A command
+ * the tool does not have is left to its usage message.
+ */
+void requireKnownOptions(const Args &args, const std::string &tool);
 
 /** Parse an on|off option, default on (fatal on anything else). */
 bool onOffFlag(const Args &args, const char *name);

@@ -70,6 +70,7 @@ main(int argc, char **argv)
         return 0;
     }
 
+    cli::requireKnownOptions(args, "xser-client");
     service::ClientConfig config;
     config.host = args.get("host", config.host);
     config.reconnectAttempts = static_cast<unsigned>(

@@ -269,16 +269,12 @@ cmdCampaign(const cli::Args &args)
     // for the precedence contract).
     telemetry::ProgressMeter progress;
     if (args.has("progress") && telemetry::progressSupported() &&
-        Logger::global().level() != LogLevel::Quiet) {
-        const uint64_t sessions = campaign.sessions.size();
-        const uint64_t tasks =
-            sessions * run.replicates +
-            (run.checkpoint ? sessions : 0);
-        progress.begin("campaign", tasks);
+        Logger::global().level() != LogLevel::Quiet)
         run.progress = &progress;
-    }
 
     core::ParallelCampaignRunner runner(campaign, run);
+    if (run.progress != nullptr)
+        progress.begin("campaign", runner.taskCount());
     const core::ReplicatedCampaignResult sweep =
         runner.executeAll(writer.get());
     progress.finish();
@@ -393,6 +389,7 @@ main(int argc, char **argv)
         printUsage();
         return 0;
     }
+    cli::requireKnownOptions(args, "xser");
     if (command == "spec")
         return cmdSpec();
     if (command == "characterize")

@@ -68,6 +68,7 @@ main(int argc, char **argv)
         return 2;
     }
 
+    cli::requireKnownOptions(args, "xser-server");
     service::ServerConfig config;
     config.host = args.get("host", config.host);
     config.port = static_cast<uint16_t>(

@@ -52,6 +52,7 @@ main(int argc, char **argv)
         printUsage();
         return 2;
     }
+    cli::requireKnownOptions(args, "xser-worker");
     if (!args.has("port"))
         fatal("xser-worker requires --port <server port>");
 

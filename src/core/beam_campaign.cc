@@ -19,6 +19,17 @@ setFastPath(CampaignConfig &config, bool enabled)
         session.beam.skipAhead = enabled;
 }
 
+std::vector<uint64_t>
+prefixKeyHashes(const CampaignConfig &config)
+{
+    std::vector<uint64_t> hashes;
+    hashes.reserve(config.sessions.size());
+    for (const SessionConfig &session : config.sessions)
+        hashes.push_back(
+            prefixKeyHash(prefixKeyOf(config.platform, session)));
+    return hashes;
+}
+
 uint64_t
 scaledEventTarget(uint64_t base, double scale)
 {

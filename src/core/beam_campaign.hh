@@ -34,6 +34,12 @@ struct CampaignConfig {
 void setFastPath(CampaignConfig &config, bool enabled);
 
 /**
+ * Each session's prefixKeyHash (core/golden_prefix.hh), in session
+ * order: sessions with equal hashes share one golden prefix.
+ */
+std::vector<uint64_t> prefixKeyHashes(const CampaignConfig &config);
+
+/**
  * A session's error-event stop target: `base` events scaled by a
  * stop-criteria scale, floored at 8. A bare cast would truncate to zero
  * below a scale of 1/base, and a zero target ends the session before

@@ -15,23 +15,21 @@ namespace xser::core {
 namespace {
 
 constexpr std::string_view checkpointMagic("XSERCKPT", 8);
-constexpr size_t headerBytes = 40;
+constexpr size_t headerBytes = 36;
 
 } // namespace
 
 std::string
-sealCheckpoint(uint32_t session_index, uint64_t config_hash,
-               std::string payload)
+sealCheckpoint(uint64_t key_hash, std::string payload)
 {
     ByteWriter header;
     header.raw(checkpointMagic);
     header.u32(checkpointVersion);
-    header.u32(session_index);
-    header.u64(config_hash);
+    header.u64(key_hash);
     header.u64(payload.size());
     header.u64(fnv1a(payload));
     // The payload's buffer becomes the envelope: no second multi-MB
-    // buffer when it has 40 bytes of headroom (the usual case).
+    // buffer when it has 36 bytes of headroom (the usual case).
     payload.insert(0, header.data());
     telemetry::count(telemetry::Counter::CheckpointsSealed);
     telemetry::count(telemetry::Counter::CheckpointSealedBytes,
@@ -59,8 +57,7 @@ openCheckpoint(std::string_view bytes)
                          " (expected ", checkpointVersion, ")");
         return view;
     }
-    view.sessionIndex = header.u32();
-    view.configHash = header.u64();
+    view.keyHash = header.u64();
     const uint64_t payload_size = header.u64();
     const uint64_t checksum = header.u64();
     if (payload_size != header.remaining()) {

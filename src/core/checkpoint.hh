@@ -1,28 +1,29 @@
 /**
  * @file
- * Checkpoint envelope: the versioned container around a session's
+ * Checkpoint envelope: the versioned container around a golden
  * prefix snapshot (DESIGN.md section 10).
  *
- * A campaign takes one snapshot per (benchmark-suite, voltage) session
- * after the golden prefix and forks every replicate's continuation
- * from it. The envelope makes that blob self-describing and refusable:
+ * A campaign takes one snapshot per distinct prefix key
+ * (core/golden_prefix.hh) and forks every unit whose session has that
+ * key from it. The envelope makes that blob self-describing and
+ * refusable:
  *
  *     bytes 0-7    magic "XSERCKPT"
  *     bytes 8-11   format version (u32, little-endian)
- *     bytes 12-15  session index within the campaign (u32)
- *     bytes 16-23  campaign configuration hash (u64)
- *     bytes 24-31  payload size in bytes (u64)
- *     bytes 32-39  FNV-1a checksum of the payload (u64)
- *     bytes 40-    payload (TestSession::visitPrefix stream)
+ *     bytes 12-19  prefix key hash (u64)
+ *     bytes 20-27  payload size in bytes (u64)
+ *     bytes 28-35  FNV-1a checksum of the payload (u64)
+ *     bytes 36-    payload (TestSession::visitPrefix stream)
  *
  * openCheckpoint() validates every field before exposing the payload
  * and reports failures gracefully ({ok, error}, mirroring the .xtrace
  * reader): a checkpoint crossing a process or version boundary is
  * external input. Each process opens an envelope once, right after
- * sealing it (core::ShardExecutor::openPrefix), and restores every
- * unit from that one verified view. Once the checksum has passed, a
- * payload that does not load cleanly indicates a logic bug, and the
- * restoring caller (core::ShardExecutor) fails hard.
+ * sealing it (core::ShardExecutor::openPrefix, which also checks the
+ * key hash), and restores every unit from that one verified view.
+ * Once the checksum has passed, a payload that does not load cleanly
+ * indicates a logic bug, and the restoring caller
+ * (core::ShardExecutor) fails hard.
  */
 
 #ifndef XSER_CORE_CHECKPOINT_HH
@@ -34,26 +35,26 @@
 
 namespace xser::core {
 
-/** Envelope format version; bump on any payload layout change. */
-inline constexpr uint32_t checkpointVersion = 1;
+/**
+ * Envelope format version; bump on any payload layout change. Part of
+ * every prefix key hash, so a bump also re-keys every prefix.
+ */
+inline constexpr uint32_t checkpointVersion = 2;
 
 /**
  * Wrap a prefix snapshot payload in the envelope.
  *
- * @param session_index Session's index within the campaign.
- * @param config_hash campaignConfigHash() of the owning campaign.
+ * @param key_hash prefixKeyHash() of the prefix's key.
  * @param payload TestSession::visitPrefix stream (its buffer becomes
  *        the envelope).
  */
-std::string sealCheckpoint(uint32_t session_index, uint64_t config_hash,
-                           std::string payload);
+std::string sealCheckpoint(uint64_t key_hash, std::string payload);
 
 /** Result of opening an envelope: a validated view into its bytes. */
 struct CheckpointView {
     bool ok = false;
     std::string error;           ///< set when !ok
-    uint32_t sessionIndex = 0;
-    uint64_t configHash = 0;
+    uint64_t keyHash = 0;
     std::string_view payload;    ///< into the caller's buffer
     uint64_t envelopeBytes = 0;  ///< whole envelope, header included
 };

@@ -34,6 +34,37 @@ correctedAt(const SessionResult &session, mem::CacheLevel level)
     return session.edac[static_cast<size_t>(level)].corrected;
 }
 
+/**
+ * numerator / denominator, where the denominator rests on an event
+ * count. A zero count leaves no ratio to judge: `zeroSide` then names
+ * the empty side ("no SDCs at 980mV") for the measurement, and a check
+ * that needs the ratio does not hold.
+ */
+struct CountRatio {
+    double value = 0.0;
+    std::string zeroSide;
+
+    CountRatio(double numerator, double denominator, uint64_t count,
+               std::string zero_side)
+    {
+        if (count == 0 || denominator <= 0.0)
+            zeroSide = std::move(zero_side);
+        else
+            value = numerator / denominator;
+    }
+
+    bool exists() const { return zeroSide.empty(); }
+
+    /** The formatted ratio between `before` and `after`, or zeroSide. */
+    std::string
+    text(const char *before, int digits, const char *after) const
+    {
+        return exists()
+            ? msg(before, TablePrinter::fmt(value, digits), after)
+            : zeroSide;
+    }
+};
+
 } // namespace
 
 ObservationChecker::ObservationChecker(const CampaignResult &campaign)
@@ -60,14 +91,15 @@ ObservationChecker::evaluate() const
         ObservationVerdict verdict;
         verdict.number = 1;
         verdict.claim = "SRAM upset rate increases toward safe Vmin";
-        const double increase =
-            100.0 * (rate_vmin - rate_nominal) /
-            std::max(rate_nominal, 1e-12);
+        const CountRatio increase(100.0 * (rate_vmin - rate_nominal),
+                                  rate_nominal, nominal().upsetsDetected,
+                                  "no upsets at 980mV");
         verdict.measurement = msg(TablePrinter::fmt(rate_nominal, 2),
                                   " -> ", TablePrinter::fmt(rate_vmin, 2),
                                   " upsets/min (",
-                                  TablePrinter::fmt(increase, 1), "%)");
-        verdict.holds = increase > 0.0 && increase < 60.0;
+                                  increase.text("", 1, "%"), ")");
+        verdict.holds = increase.exists() && increase.value > 0.0 &&
+                        increase.value < 60.0;
         verdicts.push_back(verdict);
     }
     {
@@ -112,13 +144,14 @@ ObservationChecker::evaluate() const
         ObservationVerdict verdict;
         verdict.number = 4;
         verdict.claim = "SDC share of failures ~3x at Vmin";
-        const double ratio =
-            sdcShare(vmin()) / std::max(sdcShare(nominal()), 1e-12);
+        const CountRatio ratio(sdcShare(vmin()), sdcShare(nominal()),
+                               nominal().events.sdcTotal(),
+                               "no SDCs at 980mV");
         verdict.measurement =
             msg(TablePrinter::pct(sdcShare(nominal())), " -> ",
                 TablePrinter::pct(sdcShare(vmin())), " (",
-                TablePrinter::fmt(ratio, 1), "x)");
-        verdict.holds = ratio >= 1.8;
+                ratio.text("", 1, "x"), ")");
+        verdict.holds = ratio.exists() && ratio.value >= 1.8;
         verdicts.push_back(verdict);
     }
     {
@@ -130,13 +163,14 @@ ObservationChecker::evaluate() const
         const double savings =
             100.0 * (nominal().avgPowerWatts - vmin().avgPowerWatts) /
             nominal().avgPowerWatts;
+        const CountRatio rise(rate_vmin, rate_nominal,
+                              nominal().upsetsDetected,
+                              "no upsets at 980mV");
         verdict.measurement =
-            msg(TablePrinter::fmt(savings, 1), "% power saved at Vmin; "
-                "upset rate x",
-                TablePrinter::fmt(rate_vmin /
-                                      std::max(rate_nominal, 1e-12),
-                                  2));
-        verdict.holds = savings > 5.0 && rate_vmin > rate_nominal;
+            msg(TablePrinter::fmt(savings, 1), "% power saved at Vmin; ",
+                rise.text("upset rate x", 2, ""));
+        verdict.holds = savings > 5.0 && rise.exists() &&
+                        rate_vmin > rate_nominal;
         verdicts.push_back(verdict);
     }
     {
@@ -144,13 +178,16 @@ ObservationChecker::evaluate() const
         ObservationVerdict verdict;
         verdict.number = 6;
         verdict.claim = "clock frequency barely moves the upset rate";
-        const double ratio = rate_low / std::max(rate_vmin, 1e-12);
+        const CountRatio ratio(rate_low, rate_vmin,
+                               vmin().upsetsDetected,
+                               "no upsets at 920mV");
         verdict.measurement =
             msg("790mV@900MHz vs 920mV@2.4GHz: ",
                 TablePrinter::fmt(rate_low, 2), " vs ",
-                TablePrinter::fmt(rate_vmin, 2), " upsets/min (x",
-                TablePrinter::fmt(ratio, 2), ")");
-        verdict.holds = ratio > 0.6 && ratio < 1.6;
+                TablePrinter::fmt(rate_vmin, 2), " upsets/min (",
+                ratio.text("x", 2, ""), ")");
+        verdict.holds =
+            ratio.exists() && ratio.value > 0.6 && ratio.value < 1.6;
         verdicts.push_back(verdict);
     }
     {
@@ -163,22 +200,24 @@ ObservationChecker::evaluate() const
         const double savings_vmin =
             100.0 * (nominal().avgPowerWatts - vmin().avgPowerWatts) /
             nominal().avgPowerWatts;
-        const double susceptibility_vmin =
-            100.0 * (rate_vmin - rate_nominal) /
-            std::max(rate_nominal, 1e-12);
+        const CountRatio susceptibility_vmin(
+            100.0 * (rate_vmin - rate_nominal), rate_nominal,
+            nominal().upsetsDetected, "no upsets at 980mV");
         const double savings_low =
             100.0 * (nominal().avgPowerWatts - low900().avgPowerWatts) /
             nominal().avgPowerWatts;
-        const double susceptibility_low =
-            100.0 * (rate_low - rate_nominal) /
-            std::max(rate_nominal, 1e-12);
+        const CountRatio susceptibility_low(
+            100.0 * (rate_low - rate_nominal), rate_nominal,
+            nominal().upsetsDetected, "no upsets at 980mV");
         verdict.measurement = msg(
-            "Vmin: save ", TablePrinter::fmt(savings_vmin, 1), "% / +",
-            TablePrinter::fmt(susceptibility_vmin, 1), "% susc; ",
-            "900MHz: save ", TablePrinter::fmt(savings_low, 1), "% / +",
-            TablePrinter::fmt(susceptibility_low, 1), "% susc");
-        verdict.holds = susceptibility_vmin > 0.5 * savings_vmin &&
-                        savings_low > 1.5 * susceptibility_low;
+            "Vmin: save ", TablePrinter::fmt(savings_vmin, 1), "% / ",
+            susceptibility_vmin.text("+", 1, "% susc"), "; ",
+            "900MHz: save ", TablePrinter::fmt(savings_low, 1), "% / ",
+            susceptibility_low.text("+", 1, "% susc"));
+        verdict.holds =
+            susceptibility_vmin.exists() && susceptibility_low.exists() &&
+            susceptibility_vmin.value > 0.5 * savings_vmin &&
+            savings_low > 1.5 * susceptibility_low.value;
         verdicts.push_back(verdict);
     }
     {
@@ -190,18 +229,21 @@ ObservationChecker::evaluate() const
         const FitBreakdown fit_nominal =
             FitCalculator::breakdown(nominal());
         const FitBreakdown fit_vmin = FitCalculator::breakdown(vmin());
-        const double total_ratio =
-            fit_vmin.total.fit / std::max(fit_nominal.total.fit, 1e-12);
-        const double sdc_vs_crash =
-            fit_vmin.sdc.fit /
-            std::max(fit_vmin.appCrash.fit + fit_vmin.sysCrash.fit,
-                     1e-12);
+        const CountRatio total_ratio(
+            fit_vmin.total.fit, fit_nominal.total.fit,
+            nominal().events.total(), "no errors at 980mV");
+        const CountRatio sdc_vs_crash(
+            fit_vmin.sdc.fit,
+            fit_vmin.appCrash.fit + fit_vmin.sysCrash.fit,
+            vmin().events.appCrash + vmin().events.sysCrash,
+            "no crashes at 920mV");
         verdict.measurement =
             msg("total ", TablePrinter::fmt(fit_nominal.total.fit, 1),
                 " -> ", TablePrinter::fmt(fit_vmin.total.fit, 1),
-                " FIT (x", TablePrinter::fmt(total_ratio, 1),
-                "); SDC/crash x", TablePrinter::fmt(sdc_vs_crash, 1));
-        verdict.holds = total_ratio > 3.0 && sdc_vs_crash > 3.0;
+                " FIT (", total_ratio.text("x", 1, ""), "); ",
+                sdc_vs_crash.text("SDC/crash x", 1, ""));
+        verdict.holds = total_ratio.exists() && total_ratio.value > 3.0 &&
+                        sdc_vs_crash.exists() && sdc_vs_crash.value > 3.0;
         verdicts.push_back(verdict);
     }
     {

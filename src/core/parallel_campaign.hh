@@ -69,7 +69,7 @@ struct ParallelRunConfig {
     bool collectTrace = false;
     /**
      * Checkpoint/fork importance splitting (DESIGN.md section 10): take
-     * one prefix snapshot per session and fork every replicate's
+     * one prefix snapshot per distinct prefix key and fork every unit's
      * continuation from it, instead of replaying the golden prefix per
      * (session, replicate) unit. Results -- aggregates and trace bytes
      * -- are bit-identical either way (gated by tests); `false` exists
@@ -170,6 +170,12 @@ class ParallelCampaignRunner
                            const ParallelRunConfig &run);
 
     /**
+     * Tasks executeAll() ticks the progress meter for: every unit,
+     * plus one seal per distinct prefix key in checkpoint mode.
+     */
+    size_t taskCount() const;
+
+    /**
      * Execute all replicates and merge.
      *
      * @param trace_writer Optional open writer; when set, each unit
@@ -183,6 +189,10 @@ class ParallelCampaignRunner
   private:
     CampaignConfig config_;
     ParallelRunConfig run_;
+    /** The first session of each distinct prefix key (checkpoint mode). */
+    std::vector<size_t> sealers_;
+    /** Per session: its key's index into sealers_. */
+    std::vector<size_t> keySlot_;
 };
 
 } // namespace xser::core

@@ -7,7 +7,7 @@
 
 #include <memory>
 
-#include "core/parallel_campaign.hh"
+#include "core/golden_prefix.hh"
 #include "core/test_session.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -21,7 +21,7 @@ ShardExecutor::ShardExecutor(const CampaignConfig &config,
                              uint64_t base_seed,
                              uint64_t trace_buffer_events)
     : config_(config), baseSeed_(base_seed),
-      configHash_(campaignConfigHash(config)),
+      keyHashes_(prefixKeyHashes(config)),
       traceBufferEvents_(trace_buffer_events)
 {
     if (config_.sessions.empty())
@@ -31,11 +31,13 @@ ShardExecutor::ShardExecutor(const CampaignConfig &config,
 std::string
 ShardExecutor::sealPrefix(size_t session_index) const
 {
-    cpu::XGene2Platform platform(config_.platform);
-    TestSession prefix(&platform, config_.sessions[session_index]);
+    const PrefixKey key =
+        prefixKeyOf(config_.platform, config_.sessions[session_index]);
+    cpu::XGene2Platform platform(key.platform);
+    GoldenPrefix prefix;
     {
         const telemetry::ScopedPhase timer(telemetry::Phase::Prefix);
-        prefix.runPrefix();
+        prefix.run(platform, key);
     }
     const telemetry::ScopedPhase timer(
         telemetry::Phase::SnapshotEncode);
@@ -45,9 +47,9 @@ ShardExecutor::sealPrefix(size_t session_index) const
     // capacity costs address space, not memory.
     writer.reserve(size_t(64) << 20);
     Archive archive(writer);
-    prefix.visitPrefix(archive);
-    std::string envelope = sealCheckpoint(
-        static_cast<uint32_t>(session_index), configHash_, writer.take());
+    prefix.visit(archive, platform, key);
+    std::string envelope =
+        sealCheckpoint(keyHashes_[session_index], writer.take());
     telemetry::count(telemetry::Counter::SessionsPrefixed);
     telemetry::distAdd(telemetry::Dist::CheckpointKilobytes,
                        static_cast<double>(envelope.size()) / 1024.0);
@@ -60,6 +62,12 @@ ShardExecutor::openPrefix(const std::string &envelope,
 {
     const telemetry::ScopedPhase timer(telemetry::Phase::SnapshotRestore);
     CheckpointView view = openCheckpoint(envelope);
+    if (view.ok && view.keyHash != keyHashes_[session_index]) {
+        view.ok = false;
+        view.error = msg("prefix key hash ", view.keyHash,
+                         " is not the session's ",
+                         keyHashes_[session_index]);
+    }
     if (!view.ok)
         fatal(msg("refusing checkpoint for session ", session_index, ": ",
                   view.error));
@@ -74,8 +82,8 @@ namespace {
  * it and only the (seed-dependent) continuation run.
  */
 SessionResult
-runSession(TestSession &session, size_t session_index,
-           uint64_t config_hash, const CheckpointView *prefix)
+runSession(TestSession &session, size_t session_index, uint64_t key_hash,
+           const CheckpointView *prefix)
 {
     if (prefix == nullptr) {
         const telemetry::ScopedPhase timer(
@@ -87,15 +95,13 @@ runSession(TestSession &session, size_t session_index,
     // envelope (openPrefix); the buffer is immutable since, and no
     // envelope crosses a process boundary today. Re-hashing the ~60 MB
     // payload per unit would cost more than the restore itself, so only
-    // the O(1) identity checks run here.
+    // the O(1) identity check runs here.
     {
         const telemetry::ScopedPhase timer(
             telemetry::Phase::SnapshotRestore);
         XSER_ASSERT(prefix->ok, "restore from an unopened checkpoint");
-        XSER_ASSERT(prefix->sessionIndex == session_index,
-                    "checkpoint/session index mismatch");
-        XSER_ASSERT(prefix->configHash == config_hash,
-                    "checkpoint/campaign config hash mismatch");
+        XSER_ASSERT(prefix->keyHash == key_hash,
+                    "checkpoint/session prefix key mismatch");
         telemetry::count(telemetry::Counter::CheckpointsOpened);
         telemetry::count(telemetry::Counter::CheckpointOpenedBytes,
                          prefix->envelopeBytes);
@@ -144,7 +150,8 @@ ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
 
     UnitOutcome outcome;
     outcome.result =
-        runSession(session, session_index, configHash_, prefix);
+        runSession(session, session_index, keyHashes_[session_index],
+                   prefix);
     if (buffer != nullptr) {
         const telemetry::ScopedPhase timer(telemetry::Phase::TraceWrite);
         outcome.traceEventCount = buffer->events().size();

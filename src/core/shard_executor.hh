@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/beam_campaign.hh"
 #include "core/checkpoint.hh"
@@ -56,29 +57,40 @@ class ShardExecutor
                   uint64_t trace_buffer_events);
 
     /**
-     * Run the session's seed-independent golden prefix and seal it
-     * into a checkpoint envelope (core/checkpoint.hh). Records the
-     * phase-1 telemetry (SessionsPrefixed, CheckpointKilobytes) on
-     * the caller's active shard.
+     * The hash of the session's prefix key (prefixKeyHash): sessions
+     * with equal hashes share one sealed prefix.
+     */
+    uint64_t prefixKeyHash(size_t session_index) const
+    {
+        return keyHashes_[session_index];
+    }
+
+    /**
+     * Run the golden prefix of the session's key on a platform built
+     * from that key alone and seal it into a checkpoint envelope
+     * (core/checkpoint.hh) whose identity is the key hash. Records the
+     * prefix telemetry (SessionsPrefixed, CheckpointKilobytes) on the
+     * caller's active shard.
      */
     std::string sealPrefix(size_t session_index) const;
 
     /**
      * Verify a sealed envelope once (openCheckpoint: magic, version,
-     * sizes, payload checksum) and return the view every unit of the
-     * session restores from. The view aliases `envelope`, which must
-     * outlive it and stay unmodified. Fatal ("refusing checkpoint for
-     * session N: <error>") when the envelope does not open. Timed as
-     * phase SnapshotRestore on the caller's active shard.
+     * sizes, payload checksum), check that its key hash is the
+     * session's, and return the view every unit of that key restores
+     * from. The view aliases `envelope`, which must outlive it and
+     * stay unmodified. Fatal ("refusing checkpoint for session N:
+     * <error>") when the envelope does not open or carries another
+     * key. Timed as phase SnapshotRestore on the caller's active shard.
      */
     CheckpointView openPrefix(const std::string &envelope,
                               size_t session_index) const;
 
     /**
      * Run one (session, replicate) unit on a fresh platform. When
-     * `prefix` is non-null -- an ok view from openPrefix() -- the unit
-     * restores the session's prefix from it and runs only the
-     * continuation; otherwise it replays the whole session. A traced
+     * `prefix` is non-null -- an ok view of the session's key from
+     * openPrefix() -- the unit restores the prefix from it and runs
+     * only the continuation; otherwise it runs the whole session. A traced
      * unit records into its own buffer and returns it encoded, so no
      * sink is ever shared between units. Records the per-unit
      * telemetry (UnitsCompleted, RunsPerUnit, ErrorEventsPerUnit, the
@@ -92,7 +104,7 @@ class ShardExecutor
   private:
     CampaignConfig config_;
     uint64_t baseSeed_;
-    uint64_t configHash_;
+    std::vector<uint64_t> keyHashes_;
     uint64_t traceBufferEvents_;
 };
 

@@ -90,6 +90,14 @@ SessionResult::memorySerFitPerMbit() const
     return rad::fitPerMbit(upsetsDetected, fluence, totalSramBits);
 }
 
+PrefixKey
+prefixKeyOf(const cpu::PlatformConfig &platform,
+            const SessionConfig &session)
+{
+    return PrefixKey{platform, session.workloadNames,
+                     session.quantumAccesses};
+}
+
 TestSession::TestSession(cpu::XGene2Platform *platform,
                          const SessionConfig &config)
     : platform_(platform), config_(config)
@@ -99,6 +107,7 @@ TestSession::TestSession(cpu::XGene2Platform *platform,
         fatal("session needs at least one workload");
     if (config_.fluencePerRun <= 0.0)
         fatal("fluence per run must be positive");
+    key_ = prefixKeyOf(platform_->config(), config_);
 }
 
 SessionResult
@@ -109,105 +118,21 @@ TestSession::execute()
 }
 
 void
-TestSession::enterPrefix()
-{
-    XSER_ASSERT(!prefixReady_, "session prefix already ran");
-    auto &platform = *platform_;
-    platform.applyOperatingPoint(config_.point);
-    platform.edac().clear();
-    platform.memory().clearDeliveryCounters();
-
-    mem::ScrubberConfig scrub_config = config_.scrub;
-    // The scrub engine shares the PMD clock: its wall-time pass rate
-    // tracks the core frequency (keeps detection efficiency per unit
-    // fluence frequency-consistent, cf. Fig. 7's L2 level).
-    scrub_config.clockScale = config_.point.frequencyHz / 2.4e9;
-    scrubber_ =
-        std::make_unique<mem::Scrubber>(scrub_config, &platform.memory());
-}
-
-void
 TestSession::runPrefix()
 {
-    enterPrefix();
-    auto &platform = *platform_;
-    auto &memory = platform.memory();
-    memory.clearCycles();
-
-    // The prefix quantum hook: no beam exists yet (the golden phase is
-    // beam-off by definition), but clock, scrubber, and front-end
-    // traffic advance exactly as in the measured phase.
-    auto quantum = [&]() {
-        const uint64_t cycles = memory.cyclesAccumulated();
-        memory.clearCycles();
-        const Tick elapsed = platform.advanceForCycles(cycles);
-        scrubber_->advance(elapsed);
-        platform.driveFrontEnd(config_.quantumAccesses /
-                               platform.numCores());
-    };
-
-    // Build the suite and record golden references (beam off).
-    //
-    // Determinism note (the checkpoint contract rests on this): nothing
-    // in this loop consumes the session seed. Workload setup is a pure
-    // function of the workload name; the scrubber and front-end streams
-    // advance from configuration-seeded state (chipSeed); the session's
-    // own RNGs are not constructed until runContinuation(). One prefix
-    // therefore serves every replicate seed.
-    for (const auto &name : config_.workloadNames) {
-        suite_.push_back(workloads::makeWorkload(name));
-        auto &workload = *suite_.back();
-        workloads::RunContext ctx(&memory, quantum,
-                                  config_.quantumAccesses);
-        platform.setWorkloadFootprint(
-            workload.traits().codeFootprintWords,
-            workload.traits().tlbFootprintEntries);
-        workload.setUp(ctx);
-        const Tick start = platform.clock().now();
-        workloads::WorkloadOutput golden = workload.run(ctx);
-        quantum();  // flush residual cycles into the clock
-        control_.setGolden(name, golden);
-        runSeconds_.push_back(
-            ticks::toSeconds(platform.clock().now() - start));
-        activitySum_ += workload.traits().activityFactor;
-    }
-
-    // Drop the warm cache state the setup/golden phase left behind:
-    // the freshly written datasets would otherwise sit L3-resident and
-    // distort early-session detection rates.
-    memory.flushAll();
+    XSER_ASSERT(!prefixReady_, "session prefix already ran");
+    prefix_.run(*platform_, key_);
     prefixReady_ = true;
 }
 
 void
 TestSession::visitPrefix(Archive &ar)
 {
-    if (ar.loading()) {
-        // Mirror runPrefix()'s entry: the operating point must be
-        // applied before the load so the clock frequency and domain
-        // voltages match the saved run (the platform state carries the
-        // clock's *position*, not its rate). The EDAC reporter is
-        // provably empty at the seam (no beam ran), so it is cleared
-        // rather than serialized.
-        enterPrefix();
-        for (const auto &name : config_.workloadNames)
-            suite_.push_back(workloads::makeWorkload(name));
-        runSeconds_.resize(suite_.size());
-    } else {
+    if (ar.loading())
+        XSER_ASSERT(!prefixReady_, "session prefix already ran");
+    else
         XSER_ASSERT(prefixReady_, "saving a prefix needs a completed one");
-    }
-    platform_->visit(ar);
-    scrubber_->visit(ar);
-    uint64_t workloads = suite_.size();
-    ar.u64(workloads);
-    XSER_ASSERT(workloads == suite_.size(),
-                "snapshot workload count mismatch restoring session");
-    for (const auto &workload : suite_)
-        workload->visit(ar, platform_->memory());
-    for (double &seconds : runSeconds_)
-        ar.f64(seconds);
-    ar.f64(activitySum_);
-    control_.visit(ar);
+    prefix_.visit(ar, *platform_, key_);
     prefixReady_ = true;
 }
 
@@ -220,14 +145,28 @@ TestSession::runContinuation()
     auto &platform = *platform_;
     auto &memory = platform.memory();
     auto &edac = platform.edac();
-    auto &suite = suite_;
-    auto &run_seconds = runSeconds_;
-    ControlPc &control = control_;
+    auto &suite = prefix_.suite();
+    const ControlPc &control = prefix_.control();
+
+    // The seam: everything the prefix left out because it depends on
+    // time. The operating point sets the clock rate; the scrub engine
+    // shares the PMD clock, so its wall-time pass rate tracks the core
+    // frequency (keeps detection efficiency per unit fluence
+    // frequency-consistent, cf. Fig. 7's L2 level). Replaying the
+    // prefix's quanta then moves the clock and the scrubber to where a
+    // timed prefix would have left them, and yields each workload's
+    // golden run length.
+    platform.applyOperatingPoint(config_.point);
+    mem::ScrubberConfig scrub_config = config_.scrub;
+    scrub_config.clockScale = config_.point.frequencyHz / 2.4e9;
+    mem::Scrubber scrubber(scrub_config, &memory);
+    std::vector<double> run_seconds = prefix_.replay(platform, scrubber);
 
     // Attach (or detach, when null) the lifecycle trace sink. The
-    // prefix emits no events -- no corruption exists beam-off, and
-    // clean scrubs/reads record nothing -- so attaching here observes
-    // exactly what attaching before the prefix would have.
+    // prefix and the seam emit no events -- no corruption exists
+    // beam-off, and clean scrubs/reads record nothing -- so attaching
+    // here observes exactly what attaching before the prefix would
+    // have.
     trace::TraceSink *trace_sink = config_.traceSink;
     memory.setTraceSink(trace_sink);
     edac.setTraceSink(trace_sink);
@@ -259,7 +198,6 @@ TestSession::runContinuation()
                          memory.beamTargets());
     beam.setVoltages(config_.point.pmdVolts(), config_.point.socVolts());
 
-    mem::Scrubber &scrubber = *scrubber_;
     LogicSusceptibilityModel logic(&platform.timing());
 
     // The quantum hook: convert accumulated access cycles into elapsed
@@ -316,7 +254,7 @@ TestSession::runContinuation()
         beam_config.environment.neutronsPerCm2PerSecond;
     result.totalSramBits = memory.totalSramBits();
     result.avgPowerWatts = platform.currentPowerWatts(
-        activitySum_ / static_cast<double>(suite.size()));
+        prefix_.activitySum() / static_cast<double>(suite.size()));
 
     std::map<std::string, WorkloadSessionStats> per_workload;
     for (const auto &name : config_.workloadNames)

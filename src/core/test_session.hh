@@ -11,12 +11,11 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/calibration.hh"
-#include "core/control_pc.hh"
+#include "core/golden_prefix.hh"
 #include "core/outcome.hh"
 #include "cpu/xgene2_platform.hh"
 #include "mem/scrubber.hh"
@@ -123,29 +122,31 @@ struct SessionResult {
     bool operator==(const SessionResult &) const = default;
 };
 
+/** The prefix key of a session run on a platform built from `platform`. */
+PrefixKey prefixKeyOf(const cpu::PlatformConfig &platform,
+                      const SessionConfig &session);
+
 /**
  * Executes one session against a platform.
  *
  * A session splits into two phases with a checkpointable seam between
  * them (DESIGN.md section 10):
  *
- *  - The *golden prefix* (runPrefix): apply the operating point, build
- *    the suite, record golden references beam-off, flush the hierarchy.
- *    The prefix never consumes the session seed -- its entire effect is
- *    a deterministic function of the platform + session configuration
- *    minus the seed -- so one prefix serves every replicate of the
- *    session.
+ *  - The *golden prefix* (runPrefix): build the suite, record golden
+ *    references beam-off, flush the hierarchy. It is a GoldenPrefix
+ *    run on the session's PrefixKey alone -- no seed, operating
+ *    point, scrub setting or stop criterion reaches it -- so one
+ *    prefix serves every session and replicate sharing the key.
  *
- *  - The *continuation* (runContinuation): construct the beam from the
- *    session seed, warm up, and measure. Everything seed-dependent
- *    lives here.
+ *  - The *continuation* (runContinuation): apply the operating point
+ *    and replay the prefix's quantum timeline through the clock and
+ *    the patrol scrubber (the seam), then construct the beam from the
+ *    session seed, warm up, and measure. Everything time-, point- or
+ *    seed-dependent lives here.
  *
- * visitPrefix saves or loads the seam state (platform clock, per-core
- * RNG streams, the full memory hierarchy, scrub engine, workload
- * bindings, golden store), letting a campaign fork N faulty
- * continuations from one prefix instead of replaying it N times.
- * execute() == runPrefix() + runContinuation() and is bit-identical to
- * the historical single-pass implementation.
+ * visitPrefix saves or loads the prefix, letting a campaign fork many
+ * continuations from one prefix instead of replaying it for each.
+ * execute() == runPrefix() + runContinuation().
  */
 class TestSession
 {
@@ -162,44 +163,31 @@ class TestSession
     SessionResult execute();
 
     /**
-     * Run the seed-independent golden prefix: operating point, suite
-     * construction, golden references (beam off), hierarchy flush.
-     * Fatal if the prefix already ran on this session object.
+     * Run the golden prefix of this session's key. Fatal if a prefix
+     * already ran or was loaded on this session object.
      */
     void runPrefix();
 
     /**
-     * Save the prefix seam state (requires a completed prefix, run or
-     * loaded), or -- on a loading archive -- adopt a prefix saved by a
-     * session with an identical configuration (the checkpoint
-     * envelope's config hash guards this; see core/checkpoint.hh).
-     * Loading replaces runPrefix().
+     * Save the prefix (requires a completed one, run or loaded), or --
+     * on a loading archive -- adopt a prefix saved under the same key
+     * (the checkpoint envelope's key hash guards this; see
+     * core/checkpoint.hh). Loading replaces runPrefix().
      */
     void visitPrefix(Archive &ar);
 
     /**
-     * Run the seed-dependent continuation: beam construction, warm-up,
+     * Run the continuation: the seam, beam construction, warm-up,
      * measured phase. Requires a prefix (run or restored). May be
      * called once per session object.
      */
     SessionResult runContinuation();
 
   private:
-    /**
-     * Prefix entry shared by runPrefix() and a prefix load: operating
-     * point, empty EDAC and delivery counters, a fresh scrub engine.
-     */
-    void enterPrefix();
-
     cpu::XGene2Platform *platform_;
     SessionConfig config_;
-
-    /* Prefix seam state (valid once prefixReady_). */
-    std::vector<std::unique_ptr<workloads::Workload>> suite_;
-    std::vector<double> runSeconds_;
-    double activitySum_ = 0.0;
-    ControlPc control_;
-    std::unique_ptr<mem::Scrubber> scrubber_;
+    PrefixKey key_;
+    GoldenPrefix prefix_;
     bool prefixReady_ = false;
 };
 

@@ -49,6 +49,9 @@ class XGene2Platform
   public:
     explicit XGene2Platform(const PlatformConfig &config = {});
 
+    /** The configuration this platform was built from. */
+    const PlatformConfig &config() const { return config_; }
+
     /* Component access. */
     mem::MemorySystem &memory() { return *memory_; }
     mem::EdacReporter &edac() { return edac_; }

@@ -18,7 +18,6 @@
 
 #include "mem/memory_system.hh"
 #include "sim/sim_clock.hh"
-#include "sim/bytes.hh"
 
 namespace xser::mem {
 
@@ -60,19 +59,6 @@ class Scrubber
 
     /** Reset pacing remainders (start of session). */
     void reset();
-
-    /**
-     * Save or load checkpointable state: the fractional pacing
-     * remainders and the lifetime line counter. The lines-per-tick
-     * rates are derived from configuration at construction.
-     */
-    void
-    visit(Archive &ar)
-    {
-        ar.f64(l2Remainder_);
-        ar.f64(l3Remainder_);
-        ar.u64(linesScrubbed_);
-    }
 
   private:
     ScrubberConfig config_;

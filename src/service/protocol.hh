@@ -120,13 +120,14 @@ struct UnitResultMsg : core::UnitOutcome {
 
 /**
  * ShardResult payload. `prefixTelemetry` is the telemetry shard the
- * worker recorded while sealing this session's golden prefix (empty
- * when checkpointing is off or the worker had the prefix cached); the
- * server accepts the first such blob per session and drops duplicates,
- * which is sound because sealing is deterministic. `shardTelemetry`
- * covers the unit executions and travels atomically with the results,
- * so a worker that dies mid-shard contributes nothing at all and the
- * requeued shard re-records identically.
+ * worker recorded while sealing the golden prefix of this session's
+ * key, attached to the worker's first result of each campaign that
+ * uses the key (empty otherwise, and when checkpointing is off); the
+ * server accepts the first such blob per (campaign, key) and drops
+ * duplicates, which is sound because sealing is deterministic.
+ * `shardTelemetry` covers the unit executions and travels atomically
+ * with the results, so a worker that dies mid-shard contributes
+ * nothing at all and the requeued shard re-records identically.
  */
 struct ShardResultMsg {
     uint64_t campaignId = 0;

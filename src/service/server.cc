@@ -54,7 +54,10 @@ struct Campaign {
     std::vector<core::UnitOutcome> units; ///< replicate-major
     std::vector<bool> unitDone;
     size_t unitsDone = 0;
-    std::vector<bool> prefixTelemetrySeen;
+    /** Per session: its prefix key hash, from the server's config. */
+    std::vector<uint64_t> prefixKeys;
+    /** Keys whose prefix telemetry blob has been absorbed. */
+    std::set<uint64_t> prefixTelemetrySeen;
     /** Single-sharded sink for decoded worker telemetry + merges. */
     std::unique_ptr<telemetry::MetricRegistry> registry;
     std::set<uint64_t> workersSeen;
@@ -84,8 +87,6 @@ struct Connection {
     bool busy = false;
     uint64_t shardCampaign = 0;
     PendingShard shard;
-    /** Sessions this worker has prefixed, per campaign (affinity). */
-    std::map<uint64_t, std::set<uint32_t>> sessionsServed;
 
     /* Client state. */
     uint64_t watching = 0;
@@ -327,8 +328,7 @@ class Server
         campaign->units.resize(campaign->numSessions *
                                submit.params.replicates);
         campaign->unitDone.assign(campaign->units.size(), false);
-        campaign->prefixTelemetrySeen.assign(campaign->numSessions,
-                                             false);
+        campaign->prefixKeys = core::prefixKeyHashes(campaign->config);
         if (submit.params.wantMetrics)
             campaign->registry =
                 std::make_unique<telemetry::MetricRegistry>(1);
@@ -472,18 +472,18 @@ class Server
         if (campaign.registry == nullptr)
             return;
         std::string error;
+        const uint64_t key = campaign.prefixKeys[result.session];
         if (!result.prefixTelemetry.empty() &&
-            !campaign.prefixTelemetrySeen[result.session]) {
+            campaign.prefixTelemetrySeen.count(key) == 0) {
             telemetry::MetricShard decoded;
             if (!decode(result.prefixTelemetry, decoded, error)) {
                 warn(msg("campaign ", campaign.id,
                          ": dropping prefix telemetry: ", error));
             } else {
-                // First blob per session wins; sealing is
-                // deterministic, so duplicates are bit-identical
-                // and dropping them reproduces the local once-per-
-                // session accounting.
-                campaign.prefixTelemetrySeen[result.session] = true;
+                // First blob per key wins; sealing is deterministic,
+                // so duplicates are bit-identical and dropping them
+                // reproduces the local once-per-key accounting.
+                campaign.prefixTelemetrySeen.insert(key);
                 campaign.registry->shard(0).merge(decoded);
             }
         }
@@ -643,41 +643,8 @@ class Server
             }
             if (chosen == nullptr)
                 return;
-            // Session affinity: sealing a golden prefix is a fixed
-            // per-(worker, session) cost, so (1) prefer a shard whose
-            // session this worker has already prefixed, then (2) a
-            // session no worker has touched yet -- spreading fresh
-            // sessions instead of piling every worker onto the queue
-            // front. Any shard is still stealable -- an idle worker
-            // falls through to the queue front -- and the canonical
-            // merge makes the choice invisible in the output bytes.
-            auto it = chosen->pending.begin();
-            if (chosen->params.checkpoint) {
-                const std::set<uint32_t> &served =
-                    connection.sessionsServed[chosen->id];
-                std::set<uint32_t> anyone;
-                for (const auto &other : connections_)
-                    if (other.second->kind == Connection::Kind::Worker)
-                        for (uint32_t session :
-                             other.second->sessionsServed[chosen->id])
-                            anyone.insert(session);
-                auto fresh = chosen->pending.end();
-                for (auto cand = chosen->pending.begin();
-                     cand != chosen->pending.end(); ++cand) {
-                    if (served.count(cand->session) != 0) {
-                        fresh = cand;
-                        break;
-                    }
-                    if (fresh == chosen->pending.end() &&
-                        anyone.count(cand->session) == 0)
-                        fresh = cand;
-                }
-                if (fresh != chosen->pending.end())
-                    it = fresh;
-            }
-            const PendingShard shard = *it;
-            chosen->pending.erase(it);
-            connection.sessionsServed[chosen->id].insert(shard.session);
+            const PendingShard shard = chosen->pending.front();
+            chosen->pending.pop_front();
             connection.busy = true;
             connection.shardCampaign = chosen->id;
             connection.shard = shard;

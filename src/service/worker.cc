@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "core/parallel_campaign.hh"
@@ -24,20 +25,29 @@ namespace xser::service {
 namespace {
 
 /**
- * Cached per-session prefix state within one campaign. Map nodes never
- * move, so `view` keeps aliasing `checkpoint`.
+ * One sealed golden prefix, cached by its key hash across sessions and
+ * campaigns. Map nodes never move, so `view` keeps aliasing
+ * `checkpoint`.
  */
 struct PrefixEntry {
     std::string checkpoint;
     core::CheckpointView view; ///< verified once, when sealed
-    std::string telemetryBlob; ///< cleared once sent
+    /** The seal's telemetry, attached once to every campaign it serves. */
+    std::string telemetryBlob;
 };
 
 /** Everything the worker caches for one campaign. */
 struct WorkerCampaign {
     std::unique_ptr<core::ShardExecutor> executor;
-    std::map<uint32_t, PrefixEntry> prefixes;
+    /** Key hashes whose prefix telemetry this campaign has been sent. */
+    std::set<uint64_t> prefixTelemetrySent;
 };
+
+/**
+ * Most cached prefixes: every campaign buildCampaign() makes has one
+ * prefix key per fast-path setting.
+ */
+constexpr size_t maxCachedPrefixes = 2;
 
 class Worker
 {
@@ -161,8 +171,8 @@ class Worker
         const auto it = campaigns_.find(assign.campaignId);
         if (it != campaigns_.end())
             return *it->second;
-        // Bound the cache: stale campaigns keep whole checkpoint sets
-        // alive; a worker only ever serves a few concurrently.
+        // Bound the cache: a worker only ever serves a few campaigns
+        // concurrently.
         if (campaigns_.size() >= 4)
             campaigns_.clear();
         auto campaign = std::make_unique<WorkerCampaign>();
@@ -194,11 +204,16 @@ class Worker
 
         const core::CheckpointView *prefix = nullptr;
         if (assign.params.checkpoint) {
-            PrefixEntry &entry = campaign.prefixes[assign.session];
+            const uint64_t key = executor.prefixKeyHash(assign.session);
+            if (prefixes_.count(key) == 0 &&
+                prefixes_.size() >= maxCachedPrefixes)
+                prefixes_.clear();
+            PrefixEntry &entry = prefixes_[key];
             if (entry.checkpoint.empty()) {
                 // Seal into a dedicated telemetry shard so the server
-                // can reproduce the local once-per-session prefix
-                // accounting (it keeps the first blob per session).
+                // can reproduce the local once-per-key prefix
+                // accounting (it keeps the first blob per campaign and
+                // key).
                 telemetry::MetricShard prefix_shard;
                 {
                     const telemetry::ShardScope scope(&prefix_shard);
@@ -209,11 +224,8 @@ class Worker
                 }
                 entry.telemetryBlob = encode(prefix_shard);
             }
-            if (!entry.telemetryBlob.empty()) {
-                result.prefixTelemetry =
-                    std::move(entry.telemetryBlob);
-                entry.telemetryBlob.clear();
-            }
+            if (campaign.prefixTelemetrySent.insert(key).second)
+                result.prefixTelemetry = entry.telemetryBlob;
             prefix = &entry.view;
         }
 
@@ -235,6 +247,7 @@ class Worker
     net::FrameReader reader_;
     std::string outbox_;
     std::map<uint64_t, std::unique_ptr<WorkerCampaign>> campaigns_;
+    std::map<uint64_t, PrefixEntry> prefixes_;
     unsigned assignmentsSeen_ = 0;
 };
 

@@ -36,7 +36,7 @@ namespace xser::telemetry {
 /** Deterministic event counters (values independent of --jobs). */
 enum class Counter : uint32_t {
     UnitsCompleted,        ///< (session, replicate) units finished
-    SessionsPrefixed,      ///< golden prefixes executed (phase 1)
+    SessionsPrefixed,      ///< golden prefixes sealed (one per key)
     CheckpointsSealed,     ///< checkpoint envelopes written
     CheckpointSealedBytes, ///< total sealed envelope bytes
     CheckpointsOpened,     ///< units restored from an envelope
@@ -63,7 +63,7 @@ const char *counterName(Counter counter);
 enum class Dist : uint32_t {
     RunsPerUnit,         ///< workload runs per (session, replicate)
     ErrorEventsPerUnit,  ///< error events per (session, replicate)
-    CheckpointKilobytes, ///< sealed envelope size per session
+    CheckpointKilobytes, ///< sealed envelope size per prefix key
     UnitSeconds,         ///< wall-clock seconds per unit (timing)
     NumDists,
 };

@@ -5,13 +5,17 @@
 #   check_distributed.sh XSER XSER_SERVER XSER_WORKER XSER_CLIENT \
 #                        XSER_METRICS
 #
-# Runs the same reduced campaign three ways -- locally with --jobs 8,
-# through xser-server with two workers, and again with one of the two
-# workers crashing mid-campaign (exercising the requeue path) -- and
-# asserts the report text and .xtrace bytes are identical with cmp and
-# the run manifests identical modulo the wall-clock "timing" section
-# with xser-metrics diff. Any drift is a determinism regression in the
-# shard protocol, the merge order, or the telemetry transfer.
+# Runs the same reduced campaign four ways -- locally with --jobs 8,
+# through xser-server with two workers, again with one of the two
+# workers crashing mid-campaign (exercising the requeue path), and
+# twice in a row through one server and the same two workers (the
+# second campaign restores from the prefixes the workers cached during
+# the first, and must still account for them once) -- and asserts the
+# report text and .xtrace bytes are identical with cmp and the run
+# manifests identical modulo the wall-clock "timing" section with
+# xser-metrics diff. Any drift is a determinism regression in the
+# shard protocol, the merge order, the worker's prefix cache, or the
+# telemetry transfer.
 set -eu
 
 if [ "$#" -ne 5 ]; then
@@ -43,13 +47,15 @@ run_local() {
          --metrics out.json > report.txt)
 }
 
-# run_distributed DIR EXTRA_WORKER_FLAGS...
+# run_distributed DIR CAMPAIGNS EXTRA_WORKER_FLAGS...
+# Runs CAMPAIGNS consecutive client runs through one server and its two
+# workers, campaign i into DIR/i.
 run_distributed() {
-    local dir=$1; shift
+    local dir=$1 campaigns=$2; shift 2
     local d="$WORKDIR/$dir"
     mkdir -p "$d"
-    "$SERVER" --port 0 --port-file "$d/port.txt" --max-campaigns 1 \
-        > "$d/server.log" 2>&1 &
+    "$SERVER" --port 0 --port-file "$d/port.txt" \
+        --max-campaigns "$campaigns" > "$d/server.log" 2>&1 &
     local server_pid=$!
     PIDS="$PIDS $server_pid"
     for _ in $(seq 1 100); do
@@ -63,10 +69,13 @@ run_distributed() {
     PIDS="$PIDS $!"
     "$WORKER" --port "$port" > "$d/worker2.log" 2>&1 &
     PIDS="$PIDS $!"
-    (cd "$d" &&
-     "$CLIENT" run --port "$port" --scale "$SCALE" --seed "$SEED" \
-         --replicates "$REPLICATES" --trace out.xtrace \
-         --metrics out.json > report.txt 2> client.log)
+    for i in $(seq 1 "$campaigns"); do
+        mkdir -p "$d/$i"
+        (cd "$d/$i" &&
+         "$CLIENT" run --port "$port" --scale "$SCALE" --seed "$SEED" \
+             --replicates "$REPLICATES" --trace out.xtrace \
+             --metrics out.json > report.txt 2> client.log)
+    done
     wait "$server_pid"
 }
 
@@ -85,14 +94,19 @@ echo "== local reference (--jobs 8) =="
 run_local local
 
 echo "== distributed: server + 2 workers =="
-run_distributed dist
-compare dist "distributed"
+run_distributed dist 1
+compare dist/1 "distributed"
 
 echo "== distributed: one worker crashes mid-campaign =="
-run_distributed crash --crash-on-shard 2
-compare crash "crash-requeue"
+run_distributed crash 1 --crash-on-shard 2
+compare crash/1 "crash-requeue"
 grep -q "requeueing" "$WORKDIR/crash/server.log" ||
     { echo "FAIL: crash scenario never exercised the requeue path" >&2
       exit 1; }
+
+echo "== distributed: two campaigns through the same workers =="
+run_distributed twice 2
+compare twice/1 "first of two campaigns"
+compare twice/2 "second of two campaigns"
 
 echo "PASS: distributed campaign byte-identical to local run"

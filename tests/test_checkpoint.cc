@@ -11,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/beam_campaign.hh"
 #include "core/checkpoint.hh"
+#include "core/golden_prefix.hh"
 #include "core/parallel_campaign.hh"
 #include "core/shard_executor.hh"
 #include "core/test_session.hh"
@@ -111,17 +113,16 @@ loadPrefix(TestSession &session, const std::string &bytes)
 TEST(CheckpointEnvelope, SealOpenRoundTrip)
 {
     const std::string payload("\xde\xad\xbe\xef\x00\x42", 6);
-    const std::string blob = sealCheckpoint(3, 0x1234abcdULL, payload);
+    const std::string blob = sealCheckpoint(0x1234abcdULL, payload);
     const CheckpointView view = openCheckpoint(blob);
     ASSERT_TRUE(view.ok) << view.error;
-    EXPECT_EQ(view.sessionIndex, 3u);
-    EXPECT_EQ(view.configHash, 0x1234abcdULL);
+    EXPECT_EQ(view.keyHash, 0x1234abcdULL);
     EXPECT_EQ(view.payload, payload);
 }
 
 TEST(CheckpointEnvelope, EmptyPayloadRoundTrips)
 {
-    const std::string blob = sealCheckpoint(0, 7, {});
+    const std::string blob = sealCheckpoint(7, {});
     const CheckpointView view = openCheckpoint(blob);
     ASSERT_TRUE(view.ok) << view.error;
     EXPECT_TRUE(view.payload.empty());
@@ -130,7 +131,7 @@ TEST(CheckpointEnvelope, EmptyPayloadRoundTrips)
 TEST(CheckpointEnvelope, RejectsTruncationAtEveryLength)
 {
     const std::string blob =
-        sealCheckpoint(1, 0xabcdULL, {1, 2, 3, 4, 5, 6, 7, 8});
+        sealCheckpoint(0xabcdULL, {1, 2, 3, 4, 5, 6, 7, 8});
     for (size_t cut = 0; cut < blob.size(); ++cut) {
         const CheckpointView view = openCheckpoint(blob.substr(0, cut));
         EXPECT_FALSE(view.ok) << "accepted a " << cut << "-byte prefix";
@@ -142,18 +143,17 @@ TEST(CheckpointEnvelope, NoCorruptedByteSlipsThrough)
 {
     // Every single-byte flip is either rejected outright (magic,
     // version, sizes, payload -- the checksum covers the payload) or
-    // surfaces as a changed identity field (session index, config
-    // hash) that the caller's cross-check refuses. Nothing decodes
-    // silently to the original identity with different content.
-    const std::string blob = sealCheckpoint(1, 0xabcdULL, {9, 8, 7, 6, 5});
+    // surfaces as a changed identity field (the prefix key hash) that
+    // the caller's cross-check refuses. Nothing decodes silently to
+    // the original identity with different content.
+    const std::string blob = sealCheckpoint(0xabcdULL, {9, 8, 7, 6, 5});
     for (size_t i = 0; i < blob.size(); ++i) {
         std::string corrupted = blob;
         corrupted[i] = static_cast<char>(corrupted[i] ^ 0x20);
         const CheckpointView view = openCheckpoint(corrupted);
         if (!view.ok)
             continue;
-        EXPECT_TRUE(view.sessionIndex != 1u ||
-                    view.configHash != 0xabcdULL)
+        EXPECT_NE(view.keyHash, 0xabcdULL)
             << "flip in byte " << i
             << " decoded to the original identity";
     }
@@ -161,7 +161,7 @@ TEST(CheckpointEnvelope, NoCorruptedByteSlipsThrough)
 
 TEST(CheckpointEnvelope, RejectsTrailingGarbage)
 {
-    std::string blob = sealCheckpoint(0, 1, {1, 2, 3});
+    std::string blob = sealCheckpoint(1, {1, 2, 3});
     blob.push_back('\xff');
     const CheckpointView view = openCheckpoint(blob);
     EXPECT_FALSE(view.ok);
@@ -169,7 +169,7 @@ TEST(CheckpointEnvelope, RejectsTrailingGarbage)
 
 TEST(CheckpointEnvelope, RejectsWrongVersion)
 {
-    std::string blob = sealCheckpoint(0, 1, {1, 2, 3});
+    std::string blob = sealCheckpoint(1, {1, 2, 3});
     blob[8] = static_cast<char>(checkpointVersion + 1);
     const CheckpointView view = openCheckpoint(blob);
     EXPECT_FALSE(view.ok);
@@ -263,31 +263,184 @@ TEST(CheckpointPrefixDeath, OpenOnceRefusesACorruptedEnvelope)
                 "checksum mismatch");
 }
 
+TEST(CheckpointPrefixDeath, OpenRefusesAnotherKeysEnvelope)
+{
+    // The fast-path setting is part of the key (raw images differ
+    // between modes), so an envelope sealed with it on must not serve
+    // a session that runs with it off.
+    CampaignConfig reference = twoTinySessions();
+    setFastPath(reference, false);
+    const ShardExecutor sealer(twoTinySessions(), 0x5e5510ULL, 0);
+    const ShardExecutor opener(reference, 0x5e5510ULL, 0);
+    ASSERT_NE(sealer.prefixKeyHash(0), opener.prefixKeyHash(0));
+    const std::string envelope = sealer.sealPrefix(0);
+    EXPECT_EXIT(opener.openPrefix(envelope, 0),
+                ::testing::ExitedWithCode(1),
+                "refusing checkpoint for session 0: prefix key hash");
+}
+
+/** The merged counters of one checkpointed pool run. */
+telemetry::MetricShard
+pooledCounters(const CampaignConfig &config, unsigned replicates)
+{
+    telemetry::MetricRegistry registry(2);
+    ParallelRunConfig run;
+    run.jobs = 2;
+    run.replicates = replicates;
+    run.metrics = &registry;
+    ParallelCampaignRunner runner(config, run);
+    runner.executeAll();
+    return registry.merged();
+}
+
+uint64_t
+counterOf(const telemetry::MetricShard &shard, telemetry::Counter which)
+{
+    return shard.counters[static_cast<size_t>(which)];
+}
+
 TEST(CheckpointTelemetry, OpenedCountersCountOneRestorePerUnit)
 {
     // Each envelope is verified once, but every unit restores from
     // one: the opened counters stay per unit, so a local pool (one
-    // open per session) and a worker (one per session it seals) report
-    // the same manifest.
-    telemetry::MetricRegistry registry(2);
-    ParallelRunConfig run;
-    run.jobs = 2;
-    run.replicates = 3;
-    run.metrics = &registry;
-    ParallelCampaignRunner runner(twoTinySessions(), run);
-    runner.executeAll();
+    // open per key) and a worker (one per key it seals) report the
+    // same manifest. Both sessions share one prefix key, so one
+    // envelope serves all six units.
+    const telemetry::MetricShard merged =
+        pooledCounters(twoTinySessions(), 3);
+    using telemetry::Counter;
+    EXPECT_EQ(counterOf(merged, Counter::SessionsPrefixed), 1u);
+    EXPECT_EQ(counterOf(merged, Counter::CheckpointsSealed), 1u);
+    EXPECT_EQ(counterOf(merged, Counter::CheckpointsOpened), 6u);
+    EXPECT_GT(counterOf(merged, Counter::CheckpointSealedBytes), 0u);
+    EXPECT_EQ(counterOf(merged, Counter::CheckpointOpenedBytes),
+              6 * counterOf(merged, Counter::CheckpointSealedBytes));
+}
 
-    const telemetry::MetricShard merged = registry.merged();
-    auto counter = [&merged](telemetry::Counter which) {
-        return merged.counters[static_cast<size_t>(which)];
+TEST(CheckpointTelemetry, DistinctPrefixKeysSealSeparately)
+{
+    // A different workload set is a different prefix: two keys, two
+    // envelopes, and each unit restores its own session's.
+    CampaignConfig config = twoTinySessions();
+    config.sessions[1].workloadNames = {"IS"};
+    const telemetry::MetricShard merged = pooledCounters(config, 2);
+    using telemetry::Counter;
+    EXPECT_EQ(counterOf(merged, Counter::SessionsPrefixed), 2u);
+    EXPECT_EQ(counterOf(merged, Counter::CheckpointsSealed), 2u);
+    EXPECT_EQ(counterOf(merged, Counter::CheckpointsOpened), 4u);
+}
+
+TEST(PrefixKey, EveryBuiltCampaignHasOneKeyPerFastPathSetting)
+{
+    // The worker's prefix cache holds two entries on the strength of
+    // this: whatever the scale and seed, every session of a campaign
+    // buildCampaign() makes shares one key, and only the fast-path
+    // setting changes it.
+    std::vector<uint64_t> keys;
+    for (const bool fastpath : {true, false}) {
+        for (const double scale : {0.005, 0.22, 1.0}) {
+            for (const uint64_t seed : {7ULL, 0x5e5510ULL}) {
+                CampaignParams params;
+                params.scale = scale;
+                params.seed = seed;
+                params.fastpath = fastpath;
+                const std::vector<uint64_t> hashes =
+                    prefixKeyHashes(buildCampaign(params));
+                ASSERT_EQ(hashes.size(), 4u);
+                for (const uint64_t hash : hashes)
+                    EXPECT_EQ(hash, hashes.front());
+                keys.push_back(hashes.front());
+            }
+        }
+    }
+    EXPECT_EQ(std::set<uint64_t>(keys.begin(), keys.end()).size(), 2u);
+}
+
+TEST(PrefixKey, HashCoversEveryFieldThePrefixReads)
+{
+    const PrefixKey base = prefixKeyOf(cpu::PlatformConfig{},
+                                       tinySession());
+    const uint64_t base_hash = prefixKeyHash(base);
+    const auto expectChanges = [&](const char *field, auto mutate) {
+        PrefixKey key = base;
+        mutate(key);
+        EXPECT_NE(prefixKeyHash(key), base_hash) << field;
     };
-    EXPECT_EQ(counter(telemetry::Counter::CheckpointsSealed), 2u);
-    EXPECT_EQ(counter(telemetry::Counter::CheckpointsOpened), 6u);
-    // Each session's envelope is sealed once and restored by its three
-    // units, so the unit envelopes sum to three times the sealed bytes.
-    EXPECT_GT(counter(telemetry::Counter::CheckpointSealedBytes), 0u);
-    EXPECT_EQ(counter(telemetry::Counter::CheckpointOpenedBytes),
-              3 * counter(telemetry::Counter::CheckpointSealedBytes));
+    expectChanges("l2Bytes", [](PrefixKey &k) {
+        k.platform.memory.l2Bytes *= 2;
+    });
+    expectChanges("l1HitCycles", [](PrefixKey &k) {
+        ++k.platform.memory.l1HitCycles;
+    });
+    expectChanges("l2HitCycles", [](PrefixKey &k) {
+        ++k.platform.memory.l2HitCycles;
+    });
+    expectChanges("l3HitCycles", [](PrefixKey &k) {
+        ++k.platform.memory.l3HitCycles;
+    });
+    expectChanges("dramCycles", [](PrefixKey &k) {
+        ++k.platform.memory.dramCycles;
+    });
+    expectChanges("fastPath", [](PrefixKey &k) {
+        k.platform.memory.fastPath = false;
+    });
+    expectChanges("l3Protection", [](PrefixKey &k) {
+        k.platform.memory.l3Protection = mem::Protection::Parity;
+    });
+    expectChanges("contentSeed", [](PrefixKey &k) {
+        ++k.platform.memory.contentSeed;
+    });
+    expectChanges("chipSeed", [](PrefixKey &k) {
+        ++k.platform.chipSeed;
+    });
+    expectChanges("ifetchTouchesPerAccess", [](PrefixKey &k) {
+        k.platform.coreTemplate.ifetchTouchesPerAccess *= 2.0;
+    });
+    expectChanges("workloadNames", [](PrefixKey &k) {
+        k.workloadNames.push_back("CG");
+    });
+    expectChanges("quantumAccesses", [](PrefixKey &k) {
+        k.quantumAccesses *= 2;
+    });
+
+    // What only the continuation reads stays out of the key.
+    SessionConfig other = tinySession(99);
+    other.point = volt::vmin900Point();
+    other.scrub.l2PassPeriod *= 2;
+    other.maxErrorEvents = 1;
+    other.maxFluence = 1.0;
+    other.warmupRounds = 7;
+    other.beam.skipAhead = false;
+    EXPECT_EQ(prefixKeyHash(prefixKeyOf(cpu::PlatformConfig{}, other)),
+              base_hash);
+}
+
+TEST(CheckpointRoundTrip, OnePrefixServesEveryOperatingPoint)
+{
+    // The prefix carries no time: a prefix taken for a nominal 2.4 GHz
+    // session, restored into a 790 mV @ 900 MHz session with a slower
+    // scrub, must reproduce that session's straight run bit for bit.
+    SessionConfig slow = tinySession(3);
+    slow.point = volt::vmin900Point();
+    slow.scrub.l2PassPeriod *= 3;
+
+    cpu::XGene2Platform straight_platform(cpu::PlatformConfig{});
+    TestSession straight(&straight_platform, slow);
+    const SessionResult expected = straight.execute();
+
+    cpu::XGene2Platform prefix_platform(cpu::PlatformConfig{});
+    TestSession prefix(&prefix_platform, tinySession());
+    prefix.runPrefix();
+    const std::string blob = savePrefix(prefix);
+
+    cpu::XGene2Platform fork_platform(cpu::PlatformConfig{});
+    TestSession fork(&fork_platform, slow);
+    ASSERT_TRUE(loadPrefix(fork, blob));
+    const SessionResult actual = fork.runContinuation();
+
+    expectSessionsBitIdentical(expected, actual);
+    EXPECT_TRUE(expected == actual);
+    EXPECT_EQ(expected.point.frequencyHz, 900e6);
 }
 
 /**

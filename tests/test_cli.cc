@@ -121,6 +121,75 @@ TEST(ArgsDeath, CampaignRejectsDegenerateScale)
     }
 }
 
+TEST(Args, KeysInCommandLineOrder)
+{
+    const cli::Args args = parse({"session", "--seed", "1", "--pmd",
+                                  "920", "--seed", "2"});
+    EXPECT_EQ(args.keys(), (std::vector<std::string>{"seed", "pmd"}));
+    EXPECT_EQ(args.getUint("seed", 0), 2u);
+}
+
+/** Parse a command line of `tool` (its argv[0] is irrelevant). */
+void
+checkOptions(const char *tool, std::initializer_list<const char *> tokens)
+{
+    cli::requireKnownOptions(parse(tokens), tool);
+}
+
+TEST(Args, EveryDocumentedInvocationPassesTheOptionCheck)
+{
+    // The shapes e2ebench, tests/check_distributed.sh, CI and the docs
+    // run; each must still get past the check.
+    checkOptions("xser", {"spec"});
+    checkOptions("xser", {"campaign", "--scale", "0.005", "--replicates",
+                          "2", "--jobs", "4", "--seed", "7", "--quiet",
+                          "--metrics", "m.json", "--trace", "t.xtrace",
+                          "--fastpath", "off", "--checkpoint", "on",
+                          "--progress", "--csv", "c.csv",
+                          "--trace-buffer-events", "100"});
+    checkOptions("xser", {"session", "--pmd", "920", "--events", "2",
+                          "--fluence", "2e9", "--warmup", "1", "--trace",
+                          "s.xtrace", "--metrics", "s.json"});
+    checkOptions("xser", {"characterize", "--freq", "2.4e9", "--start",
+                          "980", "--stop", "890", "--runs", "50"});
+    checkOptions("xser", {"tradeoff", "--devices", "10", "--checkpoint",
+                          "30", "--altitude", "0", "--budget", "10"});
+    checkOptions("xser", {"avf", "--workload", "MG", "--trials", "5",
+                          "--flips", "3", "--burst", "3", "--seed", "7"});
+    checkOptions("xser-server", {"--port", "0", "--port-file", "p.txt",
+                                 "--max-campaigns", "2"});
+    checkOptions("xser-worker", {"--port", "5000", "--crash-on-shard",
+                                 "2"});
+    checkOptions("xser-client", {"run", "--port", "5000", "--scale",
+                                 "0.005", "--replicates", "2", "--seed",
+                                 "7", "--trace", "t.xtrace", "--metrics",
+                                 "m.json"});
+    checkOptions("xser-client", {"attach", "--port", "5000", "--id", "3"});
+    checkOptions("xser-client", {"shutdown", "--port", "5000"});
+}
+
+TEST(ArgsDeath, UnknownOptionsAreRefusedByName)
+{
+    EXPECT_EXIT(checkOptions("xser", {"spec", "--bogus-flag", "3"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --bogus-flag for xser spec");
+    // A typo must not silently run the default fluence.
+    EXPECT_EXIT(checkOptions("xser", {"session", "--pmd", "920",
+                                      "--fluense", "2e9"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --fluense for xser session");
+    EXPECT_EXIT(checkOptions("xser-worker", {"--prot", "1"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --prot for xser-worker");
+    // An option of another command is foreign here, and the first
+    // offender in command-line order is the one named.
+    EXPECT_EXIT(checkOptions("xser-client", {"shutdown", "--port", "1",
+                                             "--scale", "1", "--jobs",
+                                             "2"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --scale for xser-client shutdown");
+}
+
 /* ------------------------------ CSV ------------------------------ */
 
 core::SessionResult

@@ -440,6 +440,39 @@ TEST(Observations, DetectsBrokenShape)
     EXPECT_LT(ObservationChecker::countHolding(verdicts), 9u);
 }
 
+TEST(Observations, ZeroCountSideNeverHolds)
+{
+    // A small campaign can end a session without a single SDC, crash
+    // or upset. A ratio over that zero count is no evidence: the check
+    // must not hold, and its measurement names the empty side instead
+    // of printing a ratio over a zero denominator.
+    CampaignResult campaign = syntheticCampaign();
+    SessionResult &nominal = campaign.sessions[0];
+    nominal.events = EventCounts{};
+    nominal.upsetsDetected = 0;
+    campaign.sessions[2].events.appCrash = 0;
+    campaign.sessions[2].events.sysCrash = 0;
+    ObservationChecker checker(campaign);
+    const auto verdicts = checker.evaluate();
+    ASSERT_EQ(verdicts.size(), 9u);
+    const auto expectNamed = [&verdicts](int number, const char *side) {
+        const ObservationVerdict &verdict = verdicts[number - 1];
+        EXPECT_FALSE(verdict.holds)
+            << "#" << number << ": " << verdict.measurement;
+        EXPECT_NE(verdict.measurement.find(side), std::string::npos)
+            << "#" << number << ": " << verdict.measurement;
+    };
+    expectNamed(1, "no upsets at 980mV");
+    expectNamed(4, "no SDCs at 980mV");
+    expectNamed(5, "no upsets at 980mV");
+    expectNamed(7, "no upsets at 980mV");
+    expectNamed(8, "no errors at 980mV");
+    expectNamed(8, "no crashes at 920mV");
+    // The checks that divide by nothing empty still judge: #6 compares
+    // the 900 MHz and 920 mV upset rates, both nonzero here.
+    EXPECT_TRUE(verdicts[5].holds) << verdicts[5].measurement;
+}
+
 TEST(Observations, FormatRendersVerdicts)
 {
     ObservationChecker checker(syntheticCampaign());

@@ -105,9 +105,9 @@ TEST(BytePins, CheckpointEnvelope)
 {
     const std::vector<uint8_t> payload = {0xde, 0xad, 0xbe,
                                           0xef, 0x00, 0x42};
-    EXPECT_EQ(digest(core::sealCheckpoint(3, 0x1234abcdULL,
+    EXPECT_EQ(digest(core::sealCheckpoint(0x1234abcdULL,
                                           {payload.begin(), payload.end()})),
-              0xcecbd01882b66056ULL);
+              0xc4f40c2ab63e3c16ULL);
 }
 
 TEST(BytePins, TraceHeaderAndUnit)

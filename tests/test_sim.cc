@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the simulation substrate: RNG streams and distributions,
- * the simulated clock, and the discrete-event queue.
+ * and the simulated clock.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/bytes.hh"
-#include "sim/event_queue.hh"
 #include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -439,87 +438,6 @@ TEST(SimClock, TickConversions)
     EXPECT_EQ(ticks::fromSeconds(1.0), ticks::perSecond);
     EXPECT_DOUBLE_EQ(ticks::toSeconds(ticks::perSecond), 1.0);
     EXPECT_DOUBLE_EQ(ticks::toMinutes(60 * ticks::perSecond), 1.0);
-}
-
-/* --------------------------- EventQueue -------------------------- */
-
-TEST(EventQueue, FiresInTimeOrder)
-{
-    EventQueue queue;
-    std::vector<int> order;
-    queue.schedule(30, [&](Tick) { order.push_back(3); });
-    queue.schedule(10, [&](Tick) { order.push_back(1); });
-    queue.schedule(20, [&](Tick) { order.push_back(2); });
-    EXPECT_EQ(queue.runUntil(100), 3u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, SameTickFiresInInsertionOrder)
-{
-    EventQueue queue;
-    std::vector<int> order;
-    for (int i = 0; i < 10; ++i)
-        queue.schedule(5, [&order, i](Tick) { order.push_back(i); });
-    queue.runUntil(5);
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, RunUntilRespectsLimit)
-{
-    EventQueue queue;
-    int fired = 0;
-    queue.schedule(10, [&](Tick) { ++fired; });
-    queue.schedule(20, [&](Tick) { ++fired; });
-    EXPECT_EQ(queue.runUntil(15), 1u);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(queue.size(), 1u);
-    EXPECT_EQ(queue.nextTick(), 20u);
-}
-
-TEST(EventQueue, CancelPreventsFiring)
-{
-    EventQueue queue;
-    int fired = 0;
-    const EventId id = queue.schedule(10, [&](Tick) { ++fired; });
-    EXPECT_TRUE(queue.cancel(id));
-    EXPECT_FALSE(queue.cancel(id));  // second cancel is a no-op
-    queue.runUntil(100);
-    EXPECT_EQ(fired, 0);
-    EXPECT_TRUE(queue.empty());
-}
-
-TEST(EventQueue, CallbackReceivesScheduledTick)
-{
-    EventQueue queue;
-    Tick seen = 0;
-    queue.schedule(42, [&](Tick when) { seen = when; });
-    queue.runUntil(100);
-    EXPECT_EQ(seen, 42u);
-}
-
-TEST(EventQueue, EventsScheduledDuringRunDoNotFireInSamePass)
-{
-    EventQueue queue;
-    int fired = 0;
-    queue.schedule(10, [&](Tick) {
-        ++fired;
-        queue.schedule(11, [&](Tick) { ++fired; });
-    });
-    // runUntil picks up the newly scheduled event because it is within
-    // the limit.
-    queue.runUntil(15);
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, ClearDropsEverything)
-{
-    EventQueue queue;
-    queue.schedule(10, [](Tick) {});
-    queue.schedule(20, [](Tick) {});
-    queue.clear();
-    EXPECT_TRUE(queue.empty());
-    EXPECT_EQ(queue.runUntil(100), 0u);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the statistics substrate: streaming summaries, incomplete
- * gamma / chi-squared quantiles, exact Poisson intervals, histograms,
- * and rate estimators.
+ * gamma / chi-squared quantiles, exact Poisson intervals, and
+ * histograms.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "stats/histogram.hh"
 #include "stats/poisson_ci.hh"
-#include "stats/rate_estimator.hh"
 #include "stats/summary.hh"
 
 namespace xser {
@@ -310,42 +309,6 @@ TEST(Histogram, ToStringRendersBars)
     histogram.add(1.5);
     const std::string text = histogram.toString();
     EXPECT_NE(text.find('#'), std::string::npos);
-}
-
-/* -------------------------- RateEstimator ------------------------ */
-
-TEST(RateEstimator, BasicRate)
-{
-    RateEstimator estimator;
-    estimator.addEvents(10);
-    estimator.addExposure(5.0);
-    EXPECT_DOUBLE_EQ(estimator.rate(), 2.0);
-    const PoissonInterval interval = estimator.rateInterval();
-    EXPECT_LT(interval.lower, 2.0);
-    EXPECT_GT(interval.upper, 2.0);
-}
-
-TEST(RateEstimator, EmptyExposure)
-{
-    RateEstimator estimator;
-    estimator.addEvents(3);
-    EXPECT_DOUBLE_EQ(estimator.rate(), 0.0);
-    const PoissonInterval interval = estimator.rateInterval();
-    EXPECT_DOUBLE_EQ(interval.upper, 0.0);
-}
-
-TEST(RateEstimator, MergeAddsBoth)
-{
-    RateEstimator a;
-    a.addEvents(4);
-    a.addExposure(2.0);
-    RateEstimator b;
-    b.addEvents(6);
-    b.addExposure(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.events(), 10u);
-    EXPECT_DOUBLE_EQ(a.exposure(), 5.0);
-    EXPECT_DOUBLE_EQ(a.rate(), 2.0);
 }
 
 } // namespace

@@ -9,7 +9,6 @@
 
 #include <cmath>
 
-#include "volt/dvfs_governor.hh"
 #include "volt/micro_virus.hh"
 #include "volt/operating_point.hh"
 #include "volt/power_model.hh"
@@ -374,47 +373,6 @@ TEST(PowerModel, LeakageGrowsWithTemperature)
     const PowerBreakdown warm = hot.breakdown(nominalPoint());
     EXPECT_GT(warm.pmdLeakage, 2.0 * cool.pmdLeakage);
     EXPECT_DOUBLE_EQ(warm.pmdDynamic, cool.pmdDynamic);
-}
-
-/* --------------------------- DvfsGovernor ------------------------ */
-
-TEST(DvfsGovernor, LadderShape)
-{
-    DvfsGovernor governor;
-    EXPECT_EQ(governor.ladder().size(), 8u);
-    EXPECT_EQ(governor.ladder().front().frequencyHz, 300e6);
-    EXPECT_EQ(governor.ladder().back().frequencyHz, 2.4e9);
-    EXPECT_EQ(governor.ladder().back().pmdMillivolts, 980.0);
-    // Monotone non-decreasing voltage with frequency.
-    for (size_t i = 1; i < governor.ladder().size(); ++i)
-        EXPECT_GE(governor.ladder()[i].pmdMillivolts,
-                  governor.ladder()[i - 1].pmdMillivolts);
-}
-
-TEST(DvfsGovernor, StateSnapping)
-{
-    DvfsGovernor governor;
-    EXPECT_EQ(governor.stateFor(0.9e9).frequencyHz, 0.9e9);
-    EXPECT_EQ(governor.stateFor(1.0e9).frequencyHz, 0.9e9);  // nearest
-    const OperatingPoint point = governor.operatingPointFor(2.4e9);
-    EXPECT_EQ(point.pmdMillivolts, 980.0);
-    EXPECT_EQ(point.socMillivolts, 950.0);
-}
-
-TEST(DvfsGovernor, DisabledByDefault)
-{
-    // Section 3.1: DVFS is disabled during the study.
-    DvfsGovernor governor;
-    EXPECT_FALSE(governor.enabled());
-    governor.setEnabled(true);
-    EXPECT_TRUE(governor.enabled());
-}
-
-TEST(DvfsGovernorDeath, RejectsOutOfRangeFrequency)
-{
-    DvfsGovernor governor;
-    EXPECT_EXIT(governor.stateFor(100e6), ::testing::ExitedWithCode(1),
-                "outside");
 }
 
 } // namespace
