@@ -1,10 +1,11 @@
 /**
  * @file
  * Throughput gate for the checkpoint/fork engine: run the same
- * replicated cliff-voltage sweep with checkpointing off (every
- * replicate replays the golden prefix) and on (one prefix snapshot per
- * prefix key -- both sessions share one -- forked to every unit),
- * assert the aggregates are
+ * replicated cliff-voltage sweep straight through (every unit runs
+ * TestSession::execute() on a fresh platform, replaying the golden
+ * prefix itself -- the reference the fork gates compare against) and
+ * through the pool (one prefix sealed for the campaign, forked to
+ * every unit), both on one thread, assert the per-unit results are
  * bit-identical, and emit the measurement as BENCH_checkpoint.json for
  * CI artifact upload and regression tracking.
  *
@@ -13,12 +14,12 @@
  * phase stops after a handful of error events, replicated several
  * times for confidence intervals. Replaying the prefix then costs more
  * than the continuations it feeds (DESIGN.md section 10 derives the
- * expected speedup R(P+C)/(P+R(C+S)) over the R units of one key).
+ * expected speedup R(P+C)/(P+R(C+S)) over the R units of the prefix).
  *
  * Usage: bench_checkpoint [output.json] [min-speedup]
  *
- * Exit status is nonzero when the aggregates diverge (equivalence
- * broken) or when the measured on/off speedup falls below
+ * Exit status is nonzero when the results diverge (equivalence
+ * broken) or when the measured forked/straight speedup falls below
  * `min-speedup` (performance regression) -- CI passes a floor under
  * the recorded reference so routine noise passes but a real
  * regression fails the job.
@@ -30,6 +31,8 @@
 
 #include "bench_common.hh"
 #include "core/beam_campaign.hh"
+#include "core/shard_executor.hh"
+#include "cpu/xgene2_platform.hh"
 
 namespace {
 
@@ -77,40 +80,55 @@ main(int argc, char **argv)
 
     const core::CampaignConfig config = cliffSweep(scale);
     core::ParallelRunConfig run;
-    run.jobs = bench::benchJobs();
+    run.jobs = 1;
     run.replicates = replicates;
-    run.checkpoint = false;
-    const bench::TimedRun off = bench::timedRun(config, run);
-    run.checkpoint = true;
-    const bench::TimedRun on = bench::timedRun(config, run);
 
-    const bool identical = off.result.replicates == on.result.replicates;
-    const double speedup = off.seconds / on.seconds;
+    // The straight reference: every unit's own session, run whole.
+    bench::TimedRun straight;
+    {
+        const core::ShardExecutor executor(config, run.seed, 0);
+        straight.result.replicates.resize(replicates);
+        const telemetry::Stopwatch watch;
+        for (unsigned r = 0; r < replicates; ++r) {
+            for (size_t s = 0; s < config.sessions.size(); ++s) {
+                cpu::XGene2Platform platform(config.platform);
+                core::TestSession session(&platform,
+                                          executor.unitConfig(s, r));
+                straight.result.replicates[r].sessions.push_back(
+                    session.execute());
+            }
+        }
+        straight.seconds = watch.seconds();
+    }
+    const bench::TimedRun forked = bench::timedRun(config, run);
+
+    const bool identical =
+        straight.result.replicates == forked.result.replicates;
+    const double speedup = straight.seconds / forked.seconds;
     const double units = static_cast<double>(
         config.sessions.size() * replicates);
 
-    std::printf("checkpoint off: %.2f s (%zu sessions x %u replicates, "
+    std::printf("straight: %.2f s (%zu sessions x %u replicates, "
                 "prefix replayed per unit)\n",
-                off.seconds, config.sessions.size(), replicates);
-    std::printf("checkpoint on:  %.2f s (one prefix per key, forked to "
-                "%.0f units)\n",
-                on.seconds, units);
-    std::printf("speedup:        %.2fx\n", speedup);
-    std::printf("bit-identical aggregates: %s\n",
+                straight.seconds, config.sessions.size(), replicates);
+    std::printf("forked:   %.2f s (one prefix, forked to %.0f units)\n",
+                forked.seconds, units);
+    std::printf("speedup:  %.2fx\n", speedup);
+    std::printf("bit-identical results: %s\n",
                 identical ? "yes" : "NO -- EQUIVALENCE BROKEN");
 
     bench::BenchReport report("checkpoint");
     report.add("scale", scale);
-    report.add("jobs", static_cast<uint64_t>(bench::benchJobs()));
+    report.add("jobs", static_cast<uint64_t>(run.jobs));
     report.add("sessions",
                static_cast<uint64_t>(config.sessions.size()));
     report.add("replicates", static_cast<uint64_t>(replicates));
-    report.add("checkpoint_off_seconds", off.seconds);
-    report.add("checkpoint_on_seconds", on.seconds);
-    report.add("speedup_checkpoint_on_over_off", speedup);
-    report.add("units_per_second_checkpoint_on", units / on.seconds);
-    report.add("units_per_second_checkpoint_off", units / off.seconds);
-    report.add("aggregates_identical", identical);
+    report.add("straight_seconds", straight.seconds);
+    report.add("forked_seconds", forked.seconds);
+    report.add("speedup_forked_over_straight", speedup);
+    report.add("units_per_second_forked", units / forked.seconds);
+    report.add("units_per_second_straight", units / straight.seconds);
+    report.add("results_identical", identical);
     report.write(out_path);
 
     if (!identical)

@@ -6,7 +6,9 @@
 #include "cli/args.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <span>
 #include <string_view>
 #include <thread>
@@ -26,8 +28,8 @@ constexpr uint64_t maxTraceBufferEvents = uint64_t(1) << 30;
 // The options each command reads. `--help` is answered before any
 // command runs, so no list names it.
 constexpr std::string_view campaignOptions[] = {
-    "scale",    "seed",  "replicates", "checkpoint",
-    "fastpath", "trace", "metrics",    "trace-buffer-events"};
+    "scale", "seed",    "replicates", "fastpath",
+    "trace", "metrics", "trace-buffer-events"};
 constexpr std::string_view specOptions[] = {"quiet"};
 constexpr std::string_view characterizeOptions[] = {
     "quiet", "freq", "start", "stop", "runs", "seed", "csv"};
@@ -229,6 +231,31 @@ traceBufferEvents(const Args &args)
                          maxTraceBufferEvents);
 }
 
+core::SessionConfig
+sessionConfig(const Args &args)
+{
+    if (!args.has("pmd"))
+        fatal("session requires --pmd <millivolts>");
+    core::SessionConfig config;
+    config.point.pmdMillivolts = args.getDouble("pmd", 980.0);
+    config.point.socMillivolts =
+        args.getDouble("soc", std::min(950.0,
+                                       config.point.pmdMillivolts + 30));
+    config.point.frequencyHz = args.getDouble("freq", 2.4e9);
+    config.point.name = config.point.label();
+    config.maxErrorEvents = args.getCount(
+        "events", 50, 1, std::numeric_limits<uint64_t>::max());
+    config.maxFluence = args.getDouble("fluence", 2e10);
+    if (!(config.maxFluence > 0.0 && std::isfinite(config.maxFluence)))
+        fatal(msg("option --fluence expects a positive, finite number, "
+                  "got '", args.get("fluence", ""), "'"));
+    config.warmupRounds = static_cast<unsigned>(
+        args.getUint("warmup", config.warmupRounds));
+    config.seed = args.getUint("seed", 0x5e5510ULL);
+    config.beam.skipAhead = onOffFlag(args, "fastpath");
+    return config;
+}
+
 core::CampaignParams
 campaignParams(const Args &args)
 {
@@ -241,7 +268,6 @@ campaignParams(const Args &args)
     params.seed = args.getUint("seed", params.seed);
     params.replicates = static_cast<uint32_t>(args.getCount(
         "replicates", 1, 1, core::maxCampaignReplicates));
-    params.checkpoint = onOffFlag(args, "checkpoint");
     params.fastpath = onOffFlag(args, "fastpath");
     params.traceBufferEvents = traceBufferEvents(args);
     params.wantTrace = args.has("trace");

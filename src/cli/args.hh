@@ -14,6 +14,7 @@
 
 namespace xser::core {
 struct CampaignParams;
+struct SessionConfig;
 } // namespace xser::core
 
 namespace xser::cli {
@@ -95,8 +96,18 @@ std::string pathOption(const Args &args, const char *name);
 uint64_t traceBufferEvents(const Args &args);
 
 /**
+ * The session `xser session` runs, from --pmd (required), --soc,
+ * --freq, --events, --fluence, --warmup, --seed and --fastpath (as
+ * beam.skipAhead; the caller sets the platform's fast path to match).
+ * Fatal on a stop target that would end the session before it
+ * measures anything: --events 0, or a --fluence that is not a
+ * positive, finite number.
+ */
+core::SessionConfig sessionConfig(const Args &args);
+
+/**
  * The campaign options `xser campaign` and `xser-client run` share --
- * --scale, --seed, --replicates, --checkpoint, --fastpath,
+ * --scale, --seed, --replicates, --fastpath,
  * --trace-buffer-events, and whether --trace / --metrics were given --
  * with configHash filled from the rebuilt campaign. Fatal on a value
  * outside the bounds core/beam_campaign.hh defines.

@@ -4,8 +4,7 @@
  * artifacts (DESIGN.md section 12).
  *
  *   xser-client run --port P [--scale 0.22] [--seed S]
- *               [--replicates R] [--checkpoint on|off]
- *               [--fastpath on|off] [--trace FILE]
+ *               [--replicates R] [--fastpath on|off] [--trace FILE]
  *               [--trace-buffer-events N] [--metrics FILE]
  *               [--progress] [--detach]
  *   xser-client attach --port P --id CAMPAIGN
@@ -38,9 +37,9 @@ printUsage()
         "commands:\n"
         "  run       submit a campaign and wait for the artifacts\n"
         "              --port P --host A --scale F --seed S\n"
-        "              --replicates R --checkpoint on|off\n"
-        "              --fastpath on|off --trace FILE\n"
-        "              --trace-buffer-events N --metrics FILE\n"
+        "              --replicates R --fastpath on|off\n"
+        "              --trace FILE --trace-buffer-events N\n"
+        "              --metrics FILE\n"
         "              --progress (live meter on stderr)\n"
         "              --detach (print the campaign id and exit)\n"
         "              --reconnect-attempts N (default 5)\n"

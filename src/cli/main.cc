@@ -10,8 +10,7 @@
  *                [--fluence 2e10] [--warmup 8] [--seed 7]
  *                [--trace out.xtrace] [--csv out.csv]
  *   xser campaign [--scale 0.22] [--seed 7] [--jobs 8|auto]
- *                 [--replicates 4] [--checkpoint on|off]
- *                 [--trace out.xtrace] [--csv out.csv]
+ *                 [--replicates 4] [--trace out.xtrace] [--csv out.csv]
  *   xser tradeoff [--devices 50000] [--checkpoint 30] [--altitude 0]
  *                 [--budget 10]
  */
@@ -66,9 +65,6 @@ printUsage()
         "                  --jobs N|auto --replicates R\n"
         "                  --fastpath on|off (off = reference paths;\n"
         "                  bit-identical results either way)\n"
-        "                  --checkpoint on|off (off = replay the\n"
-        "                  golden prefix per replicate instead of\n"
-        "                  forking it; bit-identical either way)\n"
         "                  --trace FILE --trace-buffer-events N\n"
         "                  --metrics FILE (versioned run manifest;\n"
         "                  inspect with xser-metrics)\n"
@@ -153,25 +149,10 @@ makeTraceWriter(const cli::Args &args)
 int
 cmdSession(const cli::Args &args)
 {
-    if (!args.has("pmd"))
-        fatal("session requires --pmd <millivolts>");
-
     const telemetry::Stopwatch elapsed;
+    core::SessionConfig config = cli::sessionConfig(args);
     const std::string metrics_path = cli::pathOption(args, "metrics");
-    core::SessionConfig config;
-    config.point.pmdMillivolts = args.getDouble("pmd", 980.0);
-    config.point.socMillivolts =
-        args.getDouble("soc", std::min(950.0,
-                                       config.point.pmdMillivolts + 30));
-    config.point.frequencyHz = args.getDouble("freq", 2.4e9);
-    config.point.name = config.point.label();
-    config.maxErrorEvents = args.getUint("events", 50);
-    config.maxFluence = args.getDouble("fluence", 2e10);
-    config.warmupRounds = static_cast<unsigned>(
-        args.getUint("warmup", config.warmupRounds));
-    config.seed = args.getUint("seed", 0x5e5510ULL);
-    const bool fastpath = cli::onOffFlag(args, "fastpath");
-    config.beam.skipAhead = fastpath;
+    const bool fastpath = config.beam.skipAhead;
 
     std::unique_ptr<trace::TraceWriter> writer = makeTraceWriter(args);
     std::unique_ptr<trace::TraceBuffer> buffer;
@@ -222,7 +203,6 @@ cmdSession(const cli::Args &args)
         info.sessions = 1;
         info.replicates = 1;
         info.fastpath = fastpath;
-        info.checkpoint = false;
         core::SessionAggregate aggregate;
         aggregate.point = config.point;
         aggregate.add(result);
@@ -254,7 +234,6 @@ cmdCampaign(const cli::Args &args)
     run.jobs = args.getJobs("jobs", 1);
     run.replicates = params.replicates;
     run.seed = params.seed;
-    run.checkpoint = params.checkpoint;
     run.traceBufferEvents = params.traceBufferEvents;
     std::unique_ptr<trace::TraceWriter> writer = makeTraceWriter(args);
     const core::CampaignConfig campaign = core::buildCampaign(params);

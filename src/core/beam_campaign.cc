@@ -19,15 +19,21 @@ setFastPath(CampaignConfig &config, bool enabled)
         session.beam.skipAhead = enabled;
 }
 
-std::vector<uint64_t>
-prefixKeyHashes(const CampaignConfig &config)
+PrefixKey
+campaignPrefixKey(const CampaignConfig &config)
 {
-    std::vector<uint64_t> hashes;
-    hashes.reserve(config.sessions.size());
-    for (const SessionConfig &session : config.sessions)
-        hashes.push_back(
-            prefixKeyHash(prefixKeyOf(config.platform, session)));
-    return hashes;
+    if (config.sessions.empty())
+        fatal("campaign needs at least one session");
+    PrefixKey key = prefixKeyOf(config.platform, config.sessions.front());
+    const uint64_t hash = prefixKeyHash(key);
+    for (size_t session = 1; session < config.sessions.size(); ++session)
+        if (prefixKeyHash(prefixKeyOf(config.platform,
+                                      config.sessions[session])) != hash)
+            fatal(msg("session ", session,
+                      " needs another golden prefix than session 0 "
+                      "(workload set or quantum period differs); a "
+                      "campaign runs from one prefix"));
+    return key;
 }
 
 uint64_t

@@ -34,10 +34,12 @@ struct CampaignConfig {
 void setFastPath(CampaignConfig &config, bool enabled);
 
 /**
- * Each session's prefixKeyHash (core/golden_prefix.hh), in session
- * order: sessions with equal hashes share one golden prefix.
+ * The one golden-prefix key (core/golden_prefix.hh) every session of
+ * the campaign shares, so one sealed prefix serves all its units.
+ * Fatal, naming the first session that differs from session 0, when
+ * the sessions need two prefixes.
  */
-std::vector<uint64_t> prefixKeyHashes(const CampaignConfig &config);
+PrefixKey campaignPrefixKey(const CampaignConfig &config);
 
 /**
  * A session's error-event stop target: `base` events scaled by a
@@ -104,7 +106,6 @@ struct CampaignParams {
     double scale = 0.22;
     uint64_t seed = 0x5e5510ULL;
     uint32_t replicates = 1;
-    bool checkpoint = true;
     bool fastpath = true;
     uint64_t traceBufferEvents = 0;
     bool wantTrace = false;

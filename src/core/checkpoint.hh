@@ -3,10 +3,9 @@
  * Checkpoint envelope: the versioned container around a golden
  * prefix snapshot (DESIGN.md section 10).
  *
- * A campaign takes one snapshot per distinct prefix key
- * (core/golden_prefix.hh) and forks every unit whose session has that
- * key from it. The envelope makes that blob self-describing and
- * refusable:
+ * A campaign takes one snapshot of its prefix key
+ * (core/golden_prefix.hh) and forks every unit from it. The envelope
+ * makes that blob self-describing and refusable:
  *
  *     bytes 0-7    magic "XSERCKPT"
  *     bytes 8-11   format version (u32, little-endian)

@@ -160,23 +160,12 @@ ParallelCampaignRunner::ParallelCampaignRunner(
         fatal(msg("metric registry has ", run_.metrics->shardCount(),
                   " shards but the pool may run ", run_.jobs,
                   " workers; size the registry to --jobs"));
-    if (!run_.checkpoint)
-        return;
-    const std::vector<uint64_t> keys = prefixKeyHashes(config_);
-    for (size_t session = 0; session < keys.size(); ++session) {
-        size_t slot = 0;
-        while (slot < sealers_.size() && keys[sealers_[slot]] != keys[session])
-            ++slot;
-        if (slot == sealers_.size())
-            sealers_.push_back(session);
-        keySlot_.push_back(slot);
-    }
 }
 
 size_t
 ParallelCampaignRunner::taskCount() const
 {
-    return config_.sessions.size() * run_.replicates + sealers_.size();
+    return config_.sessions.size() * run_.replicates + 1;
 }
 
 ReplicatedCampaignResult
@@ -234,32 +223,28 @@ ParallelCampaignRunner::executeAll(trace::TraceWriter *trace_writer)
             thread.join();
     };
 
-    // Phase 1 (checkpoint mode): one golden prefix per distinct prefix
-    // key, sealed into an envelope and verified once. The prefix is a
-    // function of its key alone (see core/golden_prefix.hh), so one
-    // snapshot serves every unit of every session with that key --
-    // this is what importance splitting buys: the prefix is paid once
-    // per key instead of once per unit. The slots are pre-sized, so
-    // each view keeps aliasing its envelope.
-    std::vector<std::string> checkpoints(sealers_.size());
-    std::vector<CheckpointView> prefixes(sealers_.size());
-    run_pool(sealers_.size(), [&](size_t slot) {
-        checkpoints[slot] = executor.sealPrefix(sealers_[slot]);
-        prefixes[slot] =
-            executor.openPrefix(checkpoints[slot], sealers_[slot]);
+    // Phase 1: the campaign's one golden prefix, sealed into an
+    // envelope and verified once. The prefix is a function of its key
+    // alone (see core/golden_prefix.hh), and every session shares the
+    // key, so one snapshot serves every unit -- this is what
+    // importance splitting buys: the prefix is paid once per campaign
+    // instead of once per unit.
+    std::string checkpoint;
+    CheckpointView prefix;
+    run_pool(1, [&](size_t) {
+        checkpoint = executor.sealPrefix();
+        prefix = executor.openPrefix(checkpoint);
         if (run_.progress != nullptr)
             run_.progress->tick();
     });
 
-    // Phase 2: the (session, replicate) units -- continuations forked
-    // from the checkpoints, or whole sessions when checkpointing is
-    // off.
+    // Phase 2: the (session, replicate) units, each a continuation
+    // forked from the prefix.
     std::vector<UnitOutcome> outcomes(units);
     run_pool(units, [&](size_t unit) {
-        const size_t session = unit % num_sessions;
         outcomes[unit] = executor.runUnit(
-            session, static_cast<unsigned>(unit / num_sessions),
-            run_.checkpoint ? &prefixes[keySlot_[session]] : nullptr);
+            unit % num_sessions,
+            static_cast<unsigned>(unit / num_sessions), prefix);
         if (run_.progress != nullptr)
             run_.progress->tick();
     });

@@ -68,16 +68,6 @@ struct ParallelRunConfig {
      */
     bool collectTrace = false;
     /**
-     * Checkpoint/fork importance splitting (DESIGN.md section 10): take
-     * one prefix snapshot per distinct prefix key and fork every unit's
-     * continuation from it, instead of replaying the golden prefix per
-     * (session, replicate) unit. Results -- aggregates and trace bytes
-     * -- are bit-identical either way (gated by tests); `false` exists
-     * for verification and for measuring the speedup. Excluded from
-     * campaignConfigHash for exactly that reason.
-     */
-    bool checkpoint = true;
-    /**
      * Optional metrics sink with at least min(jobs, units) shards;
      * each worker records into its own shard and the registry merges
      * them canonically (DESIGN.md section 11). Telemetry observes
@@ -161,7 +151,8 @@ std::string encodeCampaignTrace(const CampaignConfig &config,
  *
  * Unit execution itself lives in core::ShardExecutor (the library
  * seam the distributed campaign service also drives); this class adds
- * the thread pool and the pre-sized outcome slots.
+ * the thread pool, the campaign's one prefix seal, and the pre-sized
+ * outcome slots.
  */
 class ParallelCampaignRunner
 {
@@ -170,8 +161,8 @@ class ParallelCampaignRunner
                            const ParallelRunConfig &run);
 
     /**
-     * Tasks executeAll() ticks the progress meter for: every unit,
-     * plus one seal per distinct prefix key in checkpoint mode.
+     * Tasks executeAll() ticks the progress meter for: the prefix
+     * seal, then every unit.
      */
     size_t taskCount() const;
 
@@ -189,10 +180,6 @@ class ParallelCampaignRunner
   private:
     CampaignConfig config_;
     ParallelRunConfig run_;
-    /** The first session of each distinct prefix key (checkpoint mode). */
-    std::vector<size_t> sealers_;
-    /** Per session: its key's index into sealers_. */
-    std::vector<size_t> keySlot_;
 };
 
 } // namespace xser::core

@@ -37,7 +37,6 @@ writeRunSection(telemetry::JsonWriter &json,
     json.member("sessions", static_cast<uint64_t>(info.sessions));
     json.member("replicates", static_cast<uint64_t>(info.replicates));
     json.member("fastpath", info.fastpath);
-    json.member("checkpoint", info.checkpoint);
     json.endObject();
 }
 
@@ -112,7 +111,6 @@ renderCampaignManifest(const CampaignParams &params,
     info.sessions = static_cast<unsigned>(sweep.sessions.size());
     info.replicates = params.replicates;
     info.fastpath = params.fastpath;
-    info.checkpoint = params.checkpoint;
     return renderRunManifest(info, sweep.sessions, registry, jobs,
                              elapsed_seconds);
 }

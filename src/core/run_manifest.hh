@@ -26,7 +26,6 @@ struct ManifestRunInfo {
     unsigned sessions = 0;
     unsigned replicates = 1;
     bool fastpath = true;
-    bool checkpoint = true;
 };
 
 /**

@@ -21,23 +21,20 @@ ShardExecutor::ShardExecutor(const CampaignConfig &config,
                              uint64_t base_seed,
                              uint64_t trace_buffer_events)
     : config_(config), baseSeed_(base_seed),
-      keyHashes_(prefixKeyHashes(config)),
+      key_(campaignPrefixKey(config)),
+      keyHash_(core::prefixKeyHash(key_)),
       traceBufferEvents_(trace_buffer_events)
 {
-    if (config_.sessions.empty())
-        fatal("shard executor needs at least one session");
 }
 
 std::string
-ShardExecutor::sealPrefix(size_t session_index) const
+ShardExecutor::sealPrefix() const
 {
-    const PrefixKey key =
-        prefixKeyOf(config_.platform, config_.sessions[session_index]);
-    cpu::XGene2Platform platform(key.platform);
+    cpu::XGene2Platform platform(key_.platform);
     GoldenPrefix prefix;
     {
         const telemetry::ScopedPhase timer(telemetry::Phase::Prefix);
-        prefix.run(platform, key);
+        prefix.run(platform, key_);
     }
     const telemetry::ScopedPhase timer(
         telemetry::Phase::SnapshotEncode);
@@ -47,49 +44,66 @@ ShardExecutor::sealPrefix(size_t session_index) const
     // capacity costs address space, not memory.
     writer.reserve(size_t(64) << 20);
     Archive archive(writer);
-    prefix.visit(archive, platform, key);
-    std::string envelope =
-        sealCheckpoint(keyHashes_[session_index], writer.take());
-    telemetry::count(telemetry::Counter::SessionsPrefixed);
+    prefix.visit(archive, platform, key_);
+    std::string envelope = sealCheckpoint(keyHash_, writer.take());
     telemetry::distAdd(telemetry::Dist::CheckpointKilobytes,
                        static_cast<double>(envelope.size()) / 1024.0);
     return envelope;
 }
 
 CheckpointView
-ShardExecutor::openPrefix(const std::string &envelope,
-                          size_t session_index) const
+ShardExecutor::openPrefix(const std::string &envelope) const
 {
     const telemetry::ScopedPhase timer(telemetry::Phase::SnapshotRestore);
     CheckpointView view = openCheckpoint(envelope);
-    if (view.ok && view.keyHash != keyHashes_[session_index]) {
+    if (view.ok && view.keyHash != keyHash_) {
         view.ok = false;
         view.error = msg("prefix key hash ", view.keyHash,
-                         " is not the session's ",
-                         keyHashes_[session_index]);
+                         " is not the campaign's ", keyHash_);
     }
     if (!view.ok)
-        fatal(msg("refusing checkpoint for session ", session_index, ": ",
-                  view.error));
+        fatal(msg("refusing checkpoint: ", view.error));
     return view;
 }
 
-namespace {
-
-/**
- * Run a constructed session to completion: the whole session, or --
- * given a verified prefix view -- the session's prefix restored from
- * it and only the (seed-dependent) continuation run.
- */
-SessionResult
-runSession(TestSession &session, size_t session_index, uint64_t key_hash,
-           const CheckpointView *prefix)
+SessionConfig
+ShardExecutor::unitConfig(size_t session_index, unsigned replicate_index,
+                          trace::TraceBuffer *trace) const
 {
-    if (prefix == nullptr) {
-        const telemetry::ScopedPhase timer(
-            telemetry::Phase::Continuation);
-        return session.execute();
+    SessionConfig config = config_.sessions[session_index];
+    // Replicate 0 keeps the configured seed (sequential-compatible);
+    // later replicates draw their own coordinate-derived stream.
+    if (replicate_index > 0)
+        config.seed = deriveStreamSeed(
+            baseSeed_, static_cast<uint64_t>(session_index),
+            replicate_index);
+    if (trace != nullptr) {
+        trace->info.session = static_cast<uint32_t>(session_index);
+        trace->info.replicate = replicate_index;
+        trace->info.pmdMillivolts = config.point.pmdMillivolts;
+        trace->info.socMillivolts = config.point.socMillivolts;
+        trace->info.frequencyHz = config.point.frequencyHz;
+        trace->info.workloads = config.workloadNames;
+        config.traceSink = trace;
     }
+    return config;
+}
+
+UnitOutcome
+ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
+                       const CheckpointView &prefix) const
+{
+    telemetry::MetricShard *shard = telemetry::activeShard();
+    const uint64_t begin_nanos =
+        shard != nullptr ? telemetry::monotonicNanos() : 0;
+
+    std::unique_ptr<trace::TraceBuffer> buffer;
+    if (traceBufferEvents_ > 0)
+        buffer = std::make_unique<trace::TraceBuffer>(traceBufferEvents_);
+    cpu::XGene2Platform platform(config_.platform);
+    TestSession session(&platform, unitConfig(session_index,
+                                              replicate_index,
+                                              buffer.get()));
 
     // The checksum was verified once, when this process sealed the
     // envelope (openPrefix); the buffer is immutable since, and no
@@ -99,13 +113,13 @@ runSession(TestSession &session, size_t session_index, uint64_t key_hash,
     {
         const telemetry::ScopedPhase timer(
             telemetry::Phase::SnapshotRestore);
-        XSER_ASSERT(prefix->ok, "restore from an unopened checkpoint");
-        XSER_ASSERT(prefix->keyHash == key_hash,
-                    "checkpoint/session prefix key mismatch");
+        XSER_ASSERT(prefix.ok, "restore from an unopened checkpoint");
+        XSER_ASSERT(prefix.keyHash == keyHash_,
+                    "checkpoint/campaign prefix key mismatch");
         telemetry::count(telemetry::Counter::CheckpointsOpened);
         telemetry::count(telemetry::Counter::CheckpointOpenedBytes,
-                         prefix->envelopeBytes);
-        ByteReader reader(prefix->payload);
+                         prefix.envelopeBytes);
+        ByteReader reader(prefix.payload);
         Archive archive(reader);
         session.visitPrefix(archive);
         if (!reader.atEnd())
@@ -113,45 +127,12 @@ runSession(TestSession &session, size_t session_index, uint64_t key_hash,
                       reader.ok() ? " not fully consumed by restore"
                                   : " underran during restore"));
     }
-    const telemetry::ScopedPhase timer(telemetry::Phase::Continuation);
-    return session.runContinuation();
-}
-
-} // namespace
-
-UnitOutcome
-ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
-                       const CheckpointView *prefix) const
-{
-    telemetry::MetricShard *shard = telemetry::activeShard();
-    const uint64_t begin_nanos =
-        shard != nullptr ? telemetry::monotonicNanos() : 0;
-
-    SessionConfig session_config = config_.sessions[session_index];
-    // Replicate 0 keeps the configured seed (sequential-compatible);
-    // later replicates draw their own coordinate-derived stream.
-    if (replicate_index > 0)
-        session_config.seed = deriveStreamSeed(
-            baseSeed_, static_cast<uint64_t>(session_index),
-            replicate_index);
-    std::unique_ptr<trace::TraceBuffer> buffer;
-    if (traceBufferEvents_ > 0) {
-        buffer = std::make_unique<trace::TraceBuffer>(traceBufferEvents_);
-        buffer->info.session = static_cast<uint32_t>(session_index);
-        buffer->info.replicate = replicate_index;
-        buffer->info.pmdMillivolts = session_config.point.pmdMillivolts;
-        buffer->info.socMillivolts = session_config.point.socMillivolts;
-        buffer->info.frequencyHz = session_config.point.frequencyHz;
-        buffer->info.workloads = session_config.workloadNames;
-        session_config.traceSink = buffer.get();
-    }
-    cpu::XGene2Platform platform(config_.platform);
-    TestSession session(&platform, session_config);
-
     UnitOutcome outcome;
-    outcome.result =
-        runSession(session, session_index, keyHashes_[session_index],
-                   prefix);
+    {
+        const telemetry::ScopedPhase timer(
+            telemetry::Phase::Continuation);
+        outcome.result = session.runContinuation();
+    }
     if (buffer != nullptr) {
         const telemetry::ScopedPhase timer(telemetry::Phase::TraceWrite);
         outcome.traceEventCount = buffer->events().size();

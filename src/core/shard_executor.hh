@@ -1,9 +1,10 @@
 /**
  * @file
  * Shard execution as a library call: the single implementation of
- * "run one (session, replicate) unit" and "seal one session's golden
- * prefix" that both the in-process worker pool (ParallelCampaignRunner)
- * and the distributed campaign service (src/service) drive.
+ * "seal the campaign's golden prefix" and "run one (session,
+ * replicate) unit from it" that both the in-process worker pool
+ * (ParallelCampaignRunner) and the distributed campaign service
+ * (src/service) drive.
  *
  * Everything here is a pure function of (campaign config, base seed,
  * coordinates): results are bit-identical whether a unit runs on a
@@ -23,6 +24,7 @@
 
 #include "core/beam_campaign.hh"
 #include "core/checkpoint.hh"
+#include "trace/trace_buffer.hh"
 
 namespace xser::core {
 
@@ -40,15 +42,18 @@ struct UnitOutcome {
 };
 
 /**
- * Executes (session, replicate) units of one campaign. Stateless
- * between calls apart from the configuration, so a single instance
- * can serve any number of shards in any order.
+ * Executes (session, replicate) units of one campaign. Every unit
+ * restores the campaign's one golden prefix (campaignPrefixKey) and
+ * runs only its continuation. Stateless between calls apart from the
+ * configuration, so a single instance can serve any number of shards
+ * in any order.
  */
 class ShardExecutor
 {
   public:
     /**
-     * @param config The campaign (sessions in canonical order).
+     * @param config The campaign (sessions in canonical order); fatal
+     *        when its sessions need two prefixes.
      * @param base_seed Seed for replicate-stream derivation.
      * @param trace_buffer_events Per-unit trace-buffer capacity in
      *        events; 0 runs every unit untraced.
@@ -56,55 +61,59 @@ class ShardExecutor
     ShardExecutor(const CampaignConfig &config, uint64_t base_seed,
                   uint64_t trace_buffer_events);
 
-    /**
-     * The hash of the session's prefix key (prefixKeyHash): sessions
-     * with equal hashes share one sealed prefix.
-     */
-    uint64_t prefixKeyHash(size_t session_index) const
-    {
-        return keyHashes_[session_index];
-    }
+    /** The hash of the campaign's prefix key (prefixKeyHash). */
+    uint64_t prefixKeyHash() const { return keyHash_; }
 
     /**
-     * Run the golden prefix of the session's key on a platform built
-     * from that key alone and seal it into a checkpoint envelope
+     * Run the campaign's golden prefix on a platform built from its
+     * key alone and seal it into a checkpoint envelope
      * (core/checkpoint.hh) whose identity is the key hash. Records the
-     * prefix telemetry (SessionsPrefixed, CheckpointKilobytes) on the
+     * prefix telemetry (CheckpointsSealed, CheckpointKilobytes) on the
      * caller's active shard.
      */
-    std::string sealPrefix(size_t session_index) const;
+    std::string sealPrefix() const;
 
     /**
      * Verify a sealed envelope once (openCheckpoint: magic, version,
      * sizes, payload checksum), check that its key hash is the
-     * session's, and return the view every unit of that key restores
-     * from. The view aliases `envelope`, which must outlive it and
-     * stay unmodified. Fatal ("refusing checkpoint for session N:
-     * <error>") when the envelope does not open or carries another
-     * key. Timed as phase SnapshotRestore on the caller's active shard.
+     * campaign's, and return the view every unit restores from. The
+     * view aliases `envelope`, which must outlive it and stay
+     * unmodified. Fatal ("refusing checkpoint: <error>") when the
+     * envelope does not open or carries another key. Timed as phase
+     * SnapshotRestore on the caller's active shard.
      */
-    CheckpointView openPrefix(const std::string &envelope,
-                              size_t session_index) const;
+    CheckpointView openPrefix(const std::string &envelope) const;
 
     /**
-     * Run one (session, replicate) unit on a fresh platform. When
-     * `prefix` is non-null -- an ok view of the session's key from
-     * openPrefix() -- the unit restores the prefix from it and runs
-     * only the continuation; otherwise it runs the whole session. A traced
-     * unit records into its own buffer and returns it encoded, so no
-     * sink is ever shared between units. Records the per-unit
-     * telemetry (UnitsCompleted, RunsPerUnit, ErrorEventsPerUnit, the
-     * restore's CheckpointsOpened / CheckpointOpenedBytes, and the
-     * timing-quarantined UnitSeconds / unitsExecuted) on the caller's
-     * active shard.
+     * The session a unit runs: the configured one, reseeded for
+     * replicates >= 1 (core/parallel_campaign.hh's determinism
+     * contract). When `trace` is non-null it is labelled with the
+     * unit's coordinates and becomes the session's sink. Running it
+     * with TestSession::execute() on a fresh platform is the straight
+     * reference runUnit() matches bit for bit.
+     */
+    SessionConfig unitConfig(size_t session_index,
+                             unsigned replicate_index,
+                             trace::TraceBuffer *trace = nullptr) const;
+
+    /**
+     * Run one (session, replicate) unit on a fresh platform: restore
+     * the prefix from `prefix` -- openPrefix()'s view -- and run the
+     * continuation. A traced unit records into its own buffer and
+     * returns it encoded, so no sink is ever shared between units.
+     * Records the per-unit telemetry (UnitsCompleted, RunsPerUnit,
+     * ErrorEventsPerUnit, the restore's CheckpointsOpened /
+     * CheckpointOpenedBytes, and the timing-quarantined UnitSeconds /
+     * unitsExecuted) on the caller's active shard.
      */
     UnitOutcome runUnit(size_t session_index, unsigned replicate_index,
-                        const CheckpointView *prefix) const;
+                        const CheckpointView &prefix) const;
 
   private:
     CampaignConfig config_;
     uint64_t baseSeed_;
-    std::vector<uint64_t> keyHashes_;
+    PrefixKey key_;
+    uint64_t keyHash_;
     uint64_t traceBufferEvents_;
 };
 

@@ -32,7 +32,7 @@
 namespace xser::net {
 
 /** Wire protocol version; bump on any frame or payload change. */
-inline constexpr uint32_t protocolVersion = 1;
+inline constexpr uint32_t protocolVersion = 2;
 
 /** Fixed size of the frame header. */
 inline constexpr size_t frameHeaderBytes = 32;

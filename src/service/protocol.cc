@@ -24,7 +24,6 @@ visit(Archive &ar, CampaignParams &params)
     ar.f64(params.scale);
     ar.u64(params.seed);
     ar.u32(params.replicates);
-    ar.u8(params.checkpoint);
     ar.u8(params.fastpath);
     ar.u64(params.traceBufferEvents);
     ar.u8(params.wantTrace);

@@ -120,11 +120,11 @@ struct UnitResultMsg : core::UnitOutcome {
 
 /**
  * ShardResult payload. `prefixTelemetry` is the telemetry shard the
- * worker recorded while sealing the golden prefix of this session's
- * key, attached to the worker's first result of each campaign that
- * uses the key (empty otherwise, and when checkpointing is off); the
- * server accepts the first such blob per (campaign, key) and drops
- * duplicates, which is sound because sealing is deterministic.
+ * worker recorded while sealing the campaign's golden prefix,
+ * attached to the worker's first result of each campaign it serves
+ * (empty otherwise); the server accepts the first such blob per
+ * campaign and drops duplicates, which is sound because sealing is
+ * deterministic.
  * `shardTelemetry` covers the unit executions and travels atomically
  * with the results, so a worker that dies mid-shard contributes
  * nothing at all and the requeued shard re-records identically.

@@ -54,10 +54,8 @@ struct Campaign {
     std::vector<core::UnitOutcome> units; ///< replicate-major
     std::vector<bool> unitDone;
     size_t unitsDone = 0;
-    /** Per session: its prefix key hash, from the server's config. */
-    std::vector<uint64_t> prefixKeys;
-    /** Keys whose prefix telemetry blob has been absorbed. */
-    std::set<uint64_t> prefixTelemetrySeen;
+    /** Whether a prefix telemetry blob has been absorbed. */
+    bool prefixTelemetrySeen = false;
     /** Single-sharded sink for decoded worker telemetry + merges. */
     std::unique_ptr<telemetry::MetricRegistry> registry;
     std::set<uint64_t> workersSeen;
@@ -328,7 +326,6 @@ class Server
         campaign->units.resize(campaign->numSessions *
                                submit.params.replicates);
         campaign->unitDone.assign(campaign->units.size(), false);
-        campaign->prefixKeys = core::prefixKeyHashes(campaign->config);
         if (submit.params.wantMetrics)
             campaign->registry =
                 std::make_unique<telemetry::MetricRegistry>(1);
@@ -472,18 +469,17 @@ class Server
         if (campaign.registry == nullptr)
             return;
         std::string error;
-        const uint64_t key = campaign.prefixKeys[result.session];
         if (!result.prefixTelemetry.empty() &&
-            campaign.prefixTelemetrySeen.count(key) == 0) {
+            !campaign.prefixTelemetrySeen) {
             telemetry::MetricShard decoded;
             if (!decode(result.prefixTelemetry, decoded, error)) {
                 warn(msg("campaign ", campaign.id,
                          ": dropping prefix telemetry: ", error));
             } else {
-                // First blob per key wins; sealing is deterministic,
-                // so duplicates are bit-identical and dropping them
-                // reproduces the local once-per-key accounting.
-                campaign.prefixTelemetrySeen.insert(key);
+                // The first blob wins; sealing is deterministic, so
+                // duplicates are bit-identical and dropping them
+                // reproduces the local once-per-campaign accounting.
+                campaign.prefixTelemetrySeen = true;
                 campaign.registry->shard(0).merge(decoded);
             }
         }

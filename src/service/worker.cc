@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "core/parallel_campaign.hh"
@@ -25,9 +24,8 @@ namespace xser::service {
 namespace {
 
 /**
- * One sealed golden prefix, cached by its key hash across sessions and
- * campaigns. Map nodes never move, so `view` keeps aliasing
- * `checkpoint`.
+ * One sealed golden prefix, cached by its key hash across campaigns.
+ * Map nodes never move, so `view` keeps aliasing `checkpoint`.
  */
 struct PrefixEntry {
     std::string checkpoint;
@@ -39,13 +37,13 @@ struct PrefixEntry {
 /** Everything the worker caches for one campaign. */
 struct WorkerCampaign {
     std::unique_ptr<core::ShardExecutor> executor;
-    /** Key hashes whose prefix telemetry this campaign has been sent. */
-    std::set<uint64_t> prefixTelemetrySent;
+    /** Whether this campaign has been sent the prefix telemetry. */
+    bool prefixTelemetrySent = false;
 };
 
 /**
- * Most cached prefixes: every campaign buildCampaign() makes has one
- * prefix key per fast-path setting.
+ * Most cached prefixes: the prefix key of a campaign buildCampaign()
+ * makes depends only on its fast-path setting.
  */
 constexpr size_t maxCachedPrefixes = 2;
 
@@ -202,31 +200,26 @@ class Worker
         result.replicateBegin = assign.replicateBegin;
         result.replicateEnd = assign.replicateEnd;
 
-        const core::CheckpointView *prefix = nullptr;
-        if (assign.params.checkpoint) {
-            const uint64_t key = executor.prefixKeyHash(assign.session);
-            if (prefixes_.count(key) == 0 &&
-                prefixes_.size() >= maxCachedPrefixes)
-                prefixes_.clear();
-            PrefixEntry &entry = prefixes_[key];
-            if (entry.checkpoint.empty()) {
-                // Seal into a dedicated telemetry shard so the server
-                // can reproduce the local once-per-key prefix
-                // accounting (it keeps the first blob per campaign and
-                // key).
-                telemetry::MetricShard prefix_shard;
-                {
-                    const telemetry::ShardScope scope(&prefix_shard);
-                    entry.checkpoint =
-                        executor.sealPrefix(assign.session);
-                    entry.view = executor.openPrefix(entry.checkpoint,
-                                                     assign.session);
-                }
-                entry.telemetryBlob = encode(prefix_shard);
+        const uint64_t key = executor.prefixKeyHash();
+        if (prefixes_.count(key) == 0 &&
+            prefixes_.size() >= maxCachedPrefixes)
+            prefixes_.clear();
+        PrefixEntry &entry = prefixes_[key];
+        if (entry.checkpoint.empty()) {
+            // Seal into a dedicated telemetry shard so the server can
+            // reproduce the local once-per-campaign prefix accounting
+            // (it keeps the first blob per campaign).
+            telemetry::MetricShard prefix_shard;
+            {
+                const telemetry::ShardScope scope(&prefix_shard);
+                entry.checkpoint = executor.sealPrefix();
+                entry.view = executor.openPrefix(entry.checkpoint);
             }
-            if (campaign.prefixTelemetrySent.insert(key).second)
-                result.prefixTelemetry = entry.telemetryBlob;
-            prefix = &entry.view;
+            entry.telemetryBlob = encode(prefix_shard);
+        }
+        if (!campaign.prefixTelemetrySent) {
+            campaign.prefixTelemetrySent = true;
+            result.prefixTelemetry = entry.telemetryBlob;
         }
 
         telemetry::MetricShard shard_telemetry;
@@ -235,7 +228,8 @@ class Worker
             for (uint32_t replicate = assign.replicateBegin;
                  replicate < assign.replicateEnd; ++replicate)
                 result.units.push_back(UnitResultMsg{
-                    executor.runUnit(assign.session, replicate, prefix),
+                    executor.runUnit(assign.session, replicate,
+                                     entry.view),
                     replicate});
         }
         result.shardTelemetry = encode(shard_telemetry);

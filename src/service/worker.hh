@@ -8,9 +8,9 @@
  * The worker is single-threaded: it polls the connection while idle
  * (heartbeating so the server's idle timeout never fires) and computes
  * synchronously while assigned -- the server knows not to expect
- * liveness from a busy worker. Golden-prefix checkpoints are sealed
- * and verified once per prefix key and cached across sessions and
- * campaigns, mirroring the local runner's phase 1.
+ * liveness from a busy worker. A campaign's golden prefix is sealed
+ * and verified once per prefix key and cached across campaigns,
+ * mirroring the local runner's phase 1.
  */
 
 #ifndef XSER_SERVICE_WORKER_HH

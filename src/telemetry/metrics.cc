@@ -14,7 +14,6 @@ counterName(Counter counter)
 {
     switch (counter) {
       case Counter::UnitsCompleted: return "units_completed";
-      case Counter::SessionsPrefixed: return "sessions_prefixed";
       case Counter::CheckpointsSealed: return "checkpoints_sealed";
       case Counter::CheckpointSealedBytes:
         return "checkpoint_sealed_bytes";

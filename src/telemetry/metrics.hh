@@ -36,8 +36,7 @@ namespace xser::telemetry {
 /** Deterministic event counters (values independent of --jobs). */
 enum class Counter : uint32_t {
     UnitsCompleted,        ///< (session, replicate) units finished
-    SessionsPrefixed,      ///< golden prefixes sealed (one per key)
-    CheckpointsSealed,     ///< checkpoint envelopes written
+    CheckpointsSealed,     ///< golden prefixes sealed into envelopes
     CheckpointSealedBytes, ///< total sealed envelope bytes
     CheckpointsOpened,     ///< units restored from an envelope
     CheckpointOpenedBytes, ///< envelope bytes restored, one per unit

@@ -37,9 +37,6 @@ VminCharacterizer::sweep(const VminSweepConfig &config) const
     if (config.runsPerStep == 0)
         fatal("sweep needs at least one run per step");
 
-    if (config.noiseScale <= 0.0)
-        fatal("noise scale must be positive");
-
     Rng rng(config.seed);
     VminSweepResult result;
     result.safeVminMillivolts = config.startMillivolts;
@@ -47,8 +44,7 @@ VminCharacterizer::sweep(const VminSweepConfig &config) const
 
     const double worst_offset = variation_.worstOffsetVolts();
     const double cliff = model_.cliffVolts(config.frequencyHz);
-    const double sigma =
-        model_.sigmaVolts(config.frequencyHz) * config.noiseScale;
+    const double sigma = model_.sigmaVolts(config.frequencyHz);
     bool failures_seen = false;
 
     for (double mv = config.startMillivolts;

@@ -29,11 +29,6 @@ struct VminSweepConfig {
     double stepMillivolts = 5.0;
     unsigned runsPerStep = 500;
     uint64_t seed = 0xc11ffULL;
-    /**
-     * Supply-noise amplitude relative to the suite-typical level;
-     * micro-virus characterization sweeps this (see micro_virus.hh).
-     */
-    double noiseScale = 1.0;
 };
 
 /** One voltage step of the sweep. */

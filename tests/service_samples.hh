@@ -20,7 +20,6 @@ sampleParams()
     params.scale = 0.07;
     params.seed = 0xdecafbadULL;
     params.replicates = 3;
-    params.checkpoint = true;
     params.fastpath = false;
     params.traceBufferEvents = 4096;
     params.wantTrace = true;

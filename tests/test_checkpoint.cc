@@ -3,9 +3,9 @@
  * Checkpoint/fork engine tests: envelope validation (paranoid-decode
  * style, like the .xtrace reader's), the snapshot -> restore ->
  * re-snapshot fixed-point property, fork-vs-straight-run equivalence
- * for a single session, and the campaign-level gate -- checkpoint on
- * vs off must be byte-identical in aggregates and trace bytes for any
- * worker count.
+ * for a single session, and the campaign-level gate -- the pool's
+ * forked units must equal every unit run straight through, byte for
+ * byte in aggregates and trace bytes, for any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -255,12 +255,12 @@ TEST(CheckpointPrefixDeath, OpenOnceRefusesACorruptedEnvelope)
     // Units trust the view openPrefix returns, so the one-time check
     // is the only one: a flipped payload byte must stop the process.
     const ShardExecutor executor(twoTinySessions(), 0x5e5510ULL, 0);
-    std::string envelope = executor.sealPrefix(1);
+    std::string envelope = executor.sealPrefix();
     envelope[envelope.size() / 2] ^= 0x01;
-    EXPECT_EXIT(executor.openPrefix(envelope, 1),
+    EXPECT_EXIT(executor.openPrefix(envelope),
                 ::testing::ExitedWithCode(1),
-                "refusing checkpoint for session 1: checkpoint payload "
-                "checksum mismatch");
+                "refusing checkpoint: checkpoint payload checksum "
+                "mismatch");
 }
 
 TEST(CheckpointPrefixDeath, OpenRefusesAnotherKeysEnvelope)
@@ -272,14 +272,28 @@ TEST(CheckpointPrefixDeath, OpenRefusesAnotherKeysEnvelope)
     setFastPath(reference, false);
     const ShardExecutor sealer(twoTinySessions(), 0x5e5510ULL, 0);
     const ShardExecutor opener(reference, 0x5e5510ULL, 0);
-    ASSERT_NE(sealer.prefixKeyHash(0), opener.prefixKeyHash(0));
-    const std::string envelope = sealer.sealPrefix(0);
-    EXPECT_EXIT(opener.openPrefix(envelope, 0),
+    ASSERT_NE(sealer.prefixKeyHash(), opener.prefixKeyHash());
+    const std::string envelope = sealer.sealPrefix();
+    EXPECT_EXIT(opener.openPrefix(envelope),
                 ::testing::ExitedWithCode(1),
-                "refusing checkpoint for session 0: prefix key hash");
+                "refusing checkpoint: prefix key hash");
 }
 
-/** The merged counters of one checkpointed pool run. */
+TEST(CheckpointPrefixDeath, CampaignOfTwoPrefixKeysIsRefused)
+{
+    // A different workload set is a different prefix. A campaign runs
+    // from one, so the pool refuses it before sealing or running
+    // anything, naming the first session that differs.
+    CampaignConfig config = twoTinySessions();
+    config.sessions[1].workloadNames = {"IS"};
+    ParallelRunConfig run;
+    run.jobs = 2;
+    ParallelCampaignRunner runner(config, run);
+    EXPECT_EXIT(runner.executeAll(), ::testing::ExitedWithCode(1),
+                "session 1 needs another golden prefix than session 0");
+}
+
+/** The merged counters of one pool run. */
 telemetry::MetricShard
 pooledCounters(const CampaignConfig &config, unsigned replicates)
 {
@@ -303,13 +317,11 @@ TEST(CheckpointTelemetry, OpenedCountersCountOneRestorePerUnit)
 {
     // Each envelope is verified once, but every unit restores from
     // one: the opened counters stay per unit, so a local pool (one
-    // open per key) and a worker (one per key it seals) report the
-    // same manifest. Both sessions share one prefix key, so one
-    // envelope serves all six units.
+    // open per campaign) and a worker (one per key it seals) report
+    // the same manifest. One envelope serves all six units.
     const telemetry::MetricShard merged =
         pooledCounters(twoTinySessions(), 3);
     using telemetry::Counter;
-    EXPECT_EQ(counterOf(merged, Counter::SessionsPrefixed), 1u);
     EXPECT_EQ(counterOf(merged, Counter::CheckpointsSealed), 1u);
     EXPECT_EQ(counterOf(merged, Counter::CheckpointsOpened), 6u);
     EXPECT_GT(counterOf(merged, Counter::CheckpointSealedBytes), 0u);
@@ -317,25 +329,12 @@ TEST(CheckpointTelemetry, OpenedCountersCountOneRestorePerUnit)
               6 * counterOf(merged, Counter::CheckpointSealedBytes));
 }
 
-TEST(CheckpointTelemetry, DistinctPrefixKeysSealSeparately)
-{
-    // A different workload set is a different prefix: two keys, two
-    // envelopes, and each unit restores its own session's.
-    CampaignConfig config = twoTinySessions();
-    config.sessions[1].workloadNames = {"IS"};
-    const telemetry::MetricShard merged = pooledCounters(config, 2);
-    using telemetry::Counter;
-    EXPECT_EQ(counterOf(merged, Counter::SessionsPrefixed), 2u);
-    EXPECT_EQ(counterOf(merged, Counter::CheckpointsSealed), 2u);
-    EXPECT_EQ(counterOf(merged, Counter::CheckpointsOpened), 4u);
-}
-
 TEST(PrefixKey, EveryBuiltCampaignHasOneKeyPerFastPathSetting)
 {
     // The worker's prefix cache holds two entries on the strength of
     // this: whatever the scale and seed, every session of a campaign
-    // buildCampaign() makes shares one key, and only the fast-path
-    // setting changes it.
+    // buildCampaign() makes shares one key (campaignPrefixKey would
+    // refuse it otherwise), and only the fast-path setting changes it.
     std::vector<uint64_t> keys;
     for (const bool fastpath : {true, false}) {
         for (const double scale : {0.005, 0.22, 1.0}) {
@@ -344,12 +343,8 @@ TEST(PrefixKey, EveryBuiltCampaignHasOneKeyPerFastPathSetting)
                 params.scale = scale;
                 params.seed = seed;
                 params.fastpath = fastpath;
-                const std::vector<uint64_t> hashes =
-                    prefixKeyHashes(buildCampaign(params));
-                ASSERT_EQ(hashes.size(), 4u);
-                for (const uint64_t hash : hashes)
-                    EXPECT_EQ(hash, hashes.front());
-                keys.push_back(hashes.front());
+                keys.push_back(prefixKeyHash(
+                    campaignPrefixKey(buildCampaign(params))));
             }
         }
     }
@@ -444,21 +439,41 @@ TEST(CheckpointRoundTrip, OnePrefixServesEveryOperatingPoint)
 }
 
 /**
- * Campaign-scale gate (ctest label `slow`): checkpoint on vs off must
- * agree byte for byte -- aggregates and trace -- at jobs 1 and 8.
+ * Campaign-scale gate (ctest label `slow`): the pool, which forks
+ * every unit from the campaign's one sealed prefix, must equal every
+ * unit run straight through -- TestSession::execute() on a fresh
+ * platform with the unit's own config -- byte for byte, aggregates and
+ * trace, at jobs 1 and 8.
  */
 class CheckpointForkDeterminism : public ::testing::Test
 {
   protected:
+    static constexpr unsigned replicates = 2;
+
     static void
     SetUpTestSuite()
     {
-        ParallelRunConfig run;
-        run.jobs = 1;
-        run.replicates = 2;
-        run.checkpoint = false;
-        ParallelCampaignRunner runner(tinyCampaign(), run);
-        reference_ = new ReplicatedCampaignResult(runner.executeAll());
+        const CampaignConfig config = tinyCampaign();
+        const ParallelRunConfig run;
+        const ShardExecutor executor(config, run.seed, 0);
+        std::vector<UnitOutcome> units;
+        for (unsigned r = 0; r < replicates; ++r) {
+            for (size_t s = 0; s < config.sessions.size(); ++s) {
+                trace::TraceBuffer buffer;
+                cpu::XGene2Platform platform(config.platform);
+                TestSession session(&platform,
+                                    executor.unitConfig(s, r, &buffer));
+                UnitOutcome unit;
+                unit.result = session.execute();
+                unit.traceEventCount = buffer.events().size();
+                unit.traceBytes = trace::TraceWriter::encodeUnit(buffer);
+                units.push_back(std::move(unit));
+            }
+        }
+        reference_ = new ReplicatedCampaignResult(
+            mergeUnitOutcomes(units, config.sessions.size()));
+        referenceTrace_ = new std::string(
+            encodeCampaignTrace(config, run.seed, units));
     }
 
     static void
@@ -466,6 +481,18 @@ class CheckpointForkDeterminism : public ::testing::Test
     {
         delete reference_;
         reference_ = nullptr;
+        delete referenceTrace_;
+        referenceTrace_ = nullptr;
+    }
+
+    static ReplicatedCampaignResult
+    pooled(unsigned jobs, trace::TraceWriter *writer = nullptr)
+    {
+        ParallelRunConfig run;
+        run.jobs = jobs;
+        run.replicates = replicates;
+        ParallelCampaignRunner runner(tinyCampaign(), run);
+        return runner.executeAll(writer);
     }
 
     void
@@ -481,6 +508,7 @@ class CheckpointForkDeterminism : public ::testing::Test
                 SCOPED_TRACE("replicate " + std::to_string(r) +
                              " session " + std::to_string(s));
                 expectSessionsBitIdentical(a.sessions[s], b.sessions[s]);
+                EXPECT_TRUE(a.sessions[s] == b.sessions[s]);
             }
         }
         ASSERT_EQ(sweep.sessions.size(), reference_->sessions.size());
@@ -493,60 +521,39 @@ class CheckpointForkDeterminism : public ::testing::Test
     }
 
     static ReplicatedCampaignResult *reference_;
+    static std::string *referenceTrace_;
 };
 
 ReplicatedCampaignResult *CheckpointForkDeterminism::reference_ = nullptr;
+std::string *CheckpointForkDeterminism::referenceTrace_ = nullptr;
 
 TEST_F(CheckpointForkDeterminism, OneWorkerMatchesUncheckpointed)
 {
-    ParallelRunConfig run;
-    run.jobs = 1;
-    run.replicates = 2;
-    run.checkpoint = true;
-    ParallelCampaignRunner runner(tinyCampaign(), run);
-    expectMatchesReference(runner.executeAll());
+    expectMatchesReference(pooled(1));
 }
 
 TEST_F(CheckpointForkDeterminism, EightWorkersMatchUncheckpointed)
 {
-    ParallelRunConfig run;
-    run.jobs = 8;
-    run.replicates = 2;
-    run.checkpoint = true;
-    ParallelCampaignRunner runner(tinyCampaign(), run);
-    expectMatchesReference(runner.executeAll());
+    expectMatchesReference(pooled(8));
 }
 
 TEST_F(CheckpointForkDeterminism, TraceBytesIdenticalOnAndOff)
 {
     // The strongest equality we can state: the .xtrace files -- every
     // event, timestamp, and header word -- are the same bytes whether
-    // continuations were forked or prefixes replayed, at any job count.
-    const std::string off_path =
-        ::testing::TempDir() + "ckpt_off.xtrace";
-    const std::string on_path = ::testing::TempDir() + "ckpt_on.xtrace";
-    {
-        ParallelRunConfig run;
-        run.jobs = 1;
-        run.replicates = 2;
-        run.checkpoint = false;
-        ParallelCampaignRunner runner(tinyCampaign(), run);
-        trace::TraceWriter writer(off_path);
-        runner.executeAll(&writer);
+    // continuations were forked (the pool, at any job count) or every
+    // unit ran its prefix itself (the straight reference).
+    ASSERT_FALSE(referenceTrace_->empty());
+    for (const unsigned jobs : {1u, 8u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const std::string path = ::testing::TempDir() + "ckpt_j" +
+                                 std::to_string(jobs) + ".xtrace";
+        {
+            trace::TraceWriter writer(path);
+            pooled(jobs, &writer);
+        }
+        EXPECT_EQ(readFileBytes(path), *referenceTrace_);
     }
-    {
-        ParallelRunConfig run;
-        run.jobs = 8;
-        run.replicates = 2;
-        run.checkpoint = true;
-        ParallelCampaignRunner runner(tinyCampaign(), run);
-        trace::TraceWriter writer(on_path);
-        runner.executeAll(&writer);
-    }
-    const std::string off_bytes = readFileBytes(off_path);
-    const std::string on_bytes = readFileBytes(on_path);
-    ASSERT_FALSE(off_bytes.empty());
-    EXPECT_EQ(off_bytes, on_bytes);
 }
 
 } // namespace

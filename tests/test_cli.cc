@@ -84,11 +84,10 @@ TEST(Args, CampaignParamsDefaultsAndHash)
 {
     const core::CampaignParams params = cli::campaignParams(
         parse({"campaign", "--scale", "0.05", "--replicates", "3",
-               "--checkpoint", "off", "--trace", "t.xtrace"}));
+               "--trace", "t.xtrace"}));
     EXPECT_DOUBLE_EQ(params.scale, 0.05);
     EXPECT_EQ(params.seed, 0x5e5510ULL);
     EXPECT_EQ(params.replicates, 3u);
-    EXPECT_FALSE(params.checkpoint);
     EXPECT_TRUE(params.fastpath);
     EXPECT_EQ(params.traceBufferEvents,
               trace::TraceBuffer::defaultMaxEvents);
@@ -144,9 +143,8 @@ TEST(Args, EveryDocumentedInvocationPassesTheOptionCheck)
     checkOptions("xser", {"campaign", "--scale", "0.005", "--replicates",
                           "2", "--jobs", "4", "--seed", "7", "--quiet",
                           "--metrics", "m.json", "--trace", "t.xtrace",
-                          "--fastpath", "off", "--checkpoint", "on",
-                          "--progress", "--csv", "c.csv",
-                          "--trace-buffer-events", "100"});
+                          "--fastpath", "off", "--progress", "--csv",
+                          "c.csv", "--trace-buffer-events", "100"});
     checkOptions("xser", {"session", "--pmd", "920", "--events", "2",
                           "--fluence", "2e9", "--warmup", "1", "--trace",
                           "s.xtrace", "--metrics", "s.json"});
@@ -188,6 +186,42 @@ TEST(ArgsDeath, UnknownOptionsAreRefusedByName)
                                              "2"}),
                 ::testing::ExitedWithCode(1),
                 "unknown option --scale for xser-client shutdown");
+}
+
+TEST(ArgsDeath, CampaignRefusesTheCheckpointOption)
+{
+    // Every campaign unit forks from the sealed prefix; there is no
+    // second way to run one to select. Only `xser tradeoff` keeps a
+    // --checkpoint option: its fleet checkpoint interval.
+    checkOptions("xser", {"tradeoff", "--checkpoint", "30"});
+    EXPECT_EXIT(checkOptions("xser", {"campaign", "--checkpoint", "off"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --checkpoint for xser campaign");
+    EXPECT_EXIT(checkOptions("xser-client", {"run", "--port", "5000",
+                                             "--checkpoint", "on"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --checkpoint for xser-client run");
+}
+
+TEST(ArgsDeath, SessionRefusesAnEmptyStopTarget)
+{
+    const core::SessionConfig config = cli::sessionConfig(
+        parse({"session", "--pmd", "920", "--events", "2", "--fluence",
+               "2e9"}));
+    EXPECT_EQ(config.maxErrorEvents, 2u);
+    EXPECT_DOUBLE_EQ(config.maxFluence, 2e9);
+    // A zero target ends the session before it measures anything.
+    EXPECT_EXIT(cli::sessionConfig(
+                    parse({"session", "--pmd", "920", "--events", "0"})),
+                ::testing::ExitedWithCode(1),
+                "option --events expects a count");
+    for (const char *fluence : {"0", "-1", "nan", "inf"}) {
+        SCOPED_TRACE(fluence);
+        EXPECT_EXIT(cli::sessionConfig(parse(
+                        {"session", "--pmd", "920", "--fluence", fluence})),
+                    ::testing::ExitedWithCode(1),
+                    "option --fluence expects a positive, finite number");
+    }
 }
 
 /* ------------------------------ CSV ------------------------------ */

@@ -1242,65 +1242,6 @@ TEST_F(LintTreeFixture, OnlyFilesRestrictsFindingsAndSkipsStaleness)
     EXPECT_TRUE(report.configErrors.empty());
 }
 
-TEST_F(LintTreeFixture, CacheReusesUnchangedFilesAndInvalidatesEdits)
-{
-    write("src/core/bad.cc", "std::mt19937 gen(42);\n");
-    write("src/core/ok.cc", "int x = 1;\n");
-    LintConfig config;
-    config.root = root_;
-    config.cacheFile = root_ / "lint.cache";
-    const LintReport cold = runLint(config);
-    EXPECT_EQ(cold.cacheHits, 0u);
-    ASSERT_EQ(cold.unallowed.size(), 1u);
-
-    const LintReport warm = runLint(config);
-    EXPECT_EQ(warm.cacheHits, warm.filesScanned);
-    ASSERT_EQ(warm.unallowed.size(), 1u);
-    EXPECT_EQ(warm.unallowed[0].format(), cold.unallowed[0].format());
-
-    // Editing a file invalidates just that entry, and new findings
-    // surface through the refreshed scan.
-    write("src/core/ok.cc", "std::mt19937 late(7);\n");
-    const LintReport edited = runLint(config);
-    EXPECT_EQ(edited.cacheHits, edited.filesScanned - 1);
-    EXPECT_EQ(edited.unallowed.size(), 2u);
-}
-
-TEST_F(LintTreeFixture, CacheKeyedByRuleSet)
-{
-    write("src/core/bad.cc", "Rng rng(12345);\n");
-    LintConfig config;
-    config.root = root_;
-    config.cacheFile = root_ / "lint.cache";
-    config.rules = RuleSet::Classic;
-    const LintReport classic = runLint(config);
-    EXPECT_TRUE(classic.unallowed.empty());
-    // Switching rule sets must not reuse the classic run's (empty)
-    // per-file diagnostics.
-    config.rules = RuleSet::Semantic;
-    const LintReport semantic = runLint(config);
-    EXPECT_EQ(semantic.cacheHits, 0u);
-    EXPECT_EQ(countRule(semantic.unallowed, "rng-stream-discipline"),
-              1u);
-}
-
-TEST_F(LintTreeFixture, ParallelScanIsDeterministic)
-{
-    for (int i = 0; i < 6; ++i)
-        write("src/core/bad" + std::to_string(i) + ".cc",
-              "std::mt19937 gen(" + std::to_string(i) + ");\n");
-    LintConfig config;
-    config.root = root_;
-    config.jobs = 1;
-    const LintReport serial = runLint(config);
-    config.jobs = 8;
-    const LintReport parallel = runLint(config);
-    ASSERT_EQ(serial.unallowed.size(), parallel.unallowed.size());
-    for (size_t i = 0; i < serial.unallowed.size(); ++i)
-        EXPECT_EQ(serial.unallowed[i].format(),
-                  parallel.unallowed[i].format());
-}
-
 // --------------------------------------------------------------------
 // Report rendering: JSON shape and the golden SARIF pin
 // --------------------------------------------------------------------

@@ -71,7 +71,7 @@ TEST(BytePins, ServiceMessages)
                   service::HelloMsg{service::PeerRole::Worker})),
               0xaf63bc4c8601b62cULL);
     EXPECT_EQ(digest(encodeMessage(samples::sampleSubmit())),
-              0x54e6d195ac66bfddULL);
+              0xeb3f82395a289e8cULL);
     EXPECT_EQ(digest(encodeMessage(service::AcceptedMsg{41, 96})),
               0x6f5aa2939dabd26cULL);
     EXPECT_EQ(digest(encodeMessage(service::AttachMsg{41})),
@@ -79,7 +79,7 @@ TEST(BytePins, ServiceMessages)
     EXPECT_EQ(digest(encodeMessage(service::ProgressMsg{41, 17, 96})),
               0xd9ab0c6c23341ffdULL);
     EXPECT_EQ(digest(encodeMessage(samples::sampleShardAssign())),
-              0xa9f1087d9417f9bcULL);
+              0x5b75ec8b5660a239ULL);
     EXPECT_EQ(digest(encodeMessage(samples::sampleShardResult())),
               0xe3e59944b758c0e6ULL);
     EXPECT_EQ(digest(encodeMessage(
@@ -92,13 +92,13 @@ TEST(BytePins, ServiceMessages)
     EXPECT_EQ(digest(encodeMessage(service::ErrorMsgMsg{3, "bad hello"})),
               0x82f2fbe6704a87d6ULL);
     EXPECT_EQ(digest(encodeMessage(samples::sampleMetricShard())),
-              0x7258f0a4a50b41b4ULL);
+              0xe0d97e8f58694597ULL);
 }
 
 TEST(BytePins, NetFrame)
 {
     EXPECT_EQ(digest(net::encodeFrame(7, "the quick brown payload")),
-              0x1136117f44d6c8b2ULL);
+              0x79d9e5335b289febULL);
 }
 
 TEST(BytePins, CheckpointEnvelope)

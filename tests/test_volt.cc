@@ -9,7 +9,6 @@
 
 #include <cmath>
 
-#include "volt/micro_virus.hh"
 #include "volt/operating_point.hh"
 #include "volt/power_model.hh"
 #include "volt/process_variation.hh"
@@ -255,60 +254,6 @@ TEST(VminCharacterizer, AnalyticMatchesMonteCarlo)
                     5.0 * std::sqrt(analytic * (1 - analytic) /
                                     config.runsPerStep) + 0.01);
     }
-}
-
-/* ---------------------------- MicroVirus ------------------------- */
-
-TEST(MicroVirus, StandardSetIsOrderedByNoise)
-{
-    const auto &viruses = standardViruses();
-    ASSERT_GE(viruses.size(), 3u);
-    for (size_t i = 1; i < viruses.size(); ++i)
-        EXPECT_GE(viruses[i].noiseScale, viruses[i - 1].noiseScale);
-    EXPECT_GE(viruses.back().noiseScale, 1.2);
-    EXPECT_LE(viruses.front().noiseScale, 0.9);
-}
-
-TEST(MicroVirus, WorkloadVariationNegligibleForSafeVmin)
-{
-    // The paper's Section 4.1 observation (via [49]): the safe Vmin is
-    // essentially workload-independent. Across the full virus set the
-    // measured Vmin must move by at most two 5 mV regulator steps.
-    TimingModel model;
-    ProcessVariation variation(8, 0.0015, 0x86e2ULL);
-    VminCharacterizer characterizer(model, variation);
-    VminSweepConfig config;
-    config.startMillivolts = 980.0;
-    config.stopMillivolts = 890.0;
-    config.runsPerStep = 400;
-    const VirusCharacterization result =
-        characterizeWithViruses(characterizer, config);
-    ASSERT_EQ(result.perVirus.size(), standardViruses().size());
-    EXPECT_LE(result.vminSpreadMillivolts, 10.0);
-    // The combined safe Vmin is set by the strictest virus...
-    for (const auto &entry : result.perVirus)
-        EXPECT_GE(result.safeVminMillivolts,
-                  entry.sweep.safeVminMillivolts);
-    // ...and still lands in the paper's 920 +/- one step band.
-    EXPECT_GE(result.safeVminMillivolts, 915.0);
-    EXPECT_LE(result.safeVminMillivolts, 930.0);
-}
-
-TEST(MicroVirus, HigherNoiseRaisesVmin)
-{
-    TimingModel model;
-    ProcessVariation variation(8, 0.0015, 1);
-    VminCharacterizer characterizer(model, variation);
-    VminSweepConfig quiet;
-    quiet.runsPerStep = 2000;
-    quiet.noiseScale = 0.5;
-    VminSweepConfig loud = quiet;
-    loud.noiseScale = 2.5;
-    const double vmin_quiet =
-        characterizer.sweep(quiet).safeVminMillivolts;
-    const double vmin_loud =
-        characterizer.sweep(loud).safeVminMillivolts;
-    EXPECT_GE(vmin_loud, vmin_quiet);
 }
 
 /* ---------------------------- PowerModel ------------------------- */

@@ -2,8 +2,8 @@
  * @file
  * Declaration/flow fact layer and whole-tree semantic rules.
  *
- * `extractFacts` distills one translation unit's tokens into the small,
- * cacheable record the cross-TU rules need: the quoted include list
+ * `extractFacts` distills one translation unit's tokens into the small
+ * record the cross-TU rules need: the quoted include list
  * (for the layer DAG and cycle detection), reference-implementation
  * identifiers (for fast-path parity), and the trace event schema facts
  * (enum definition, `numEventTypes` pin, and every `case EventType::`
@@ -66,7 +66,7 @@ struct EnumeratorFact
     long value = -1;
 };
 
-/** Cacheable cross-TU facts of one translation unit. */
+/** Cross-TU facts of one translation unit. */
 struct FileFacts
 {
     std::string path; ///< Repo-relative path with forward slashes.

@@ -111,17 +111,6 @@ ruleInSet(const std::string &rule, RuleSet set)
     return false;
 }
 
-uint64_t
-fnv1a64(const std::string &text)
-{
-    uint64_t hash = 1469598103934665603ull;
-    for (char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
 std::string
 renderText(const LintReport &report, bool verbose)
 {
@@ -139,10 +128,8 @@ renderText(const LintReport &report, bool verbose)
     out << "xser-lint: " << report.filesScanned << " files, "
         << report.unallowed.size() << " finding(s), "
         << report.allowed.size() << " allowed, "
-        << report.configErrors.size() << " config error(s)";
-    if (report.cacheHits > 0)
-        out << ", " << report.cacheHits << " cached";
-    out << (report.clean() ? " -- clean" : " -- FAIL") << '\n';
+        << report.configErrors.size() << " config error(s)"
+        << (report.clean() ? " -- clean" : " -- FAIL") << '\n';
     return out.str();
 }
 
@@ -235,7 +222,6 @@ renderJson(const LintReport &report)
     out << ",\n";
     appendDiagArray(out, "staleWarnings", report.staleWarnings);
     out << ",\n  \"filesScanned\": " << report.filesScanned
-        << ",\n  \"cacheHits\": " << report.cacheHits
         << ",\n  \"clean\": " << (report.clean() ? "true" : "false")
         << "\n}\n";
     return out.str();

@@ -1,22 +1,14 @@
 /**
  * @file
- * Tree orchestration: enumerate the scan set, analyze files (in
- * parallel, through the incremental cache), run the cross-TU rules
- * over the collected facts, and apply the allowlist.
- *
- * Determinism note: the file walk is parallel, but results land in
- * per-file slots and are merged in canonical sorted-path order, so the
- * report is byte-identical for any worker count -- the same contract
- * the lint enforces on the simulator.
+ * Tree orchestration: enumerate the scan set, analyze each file in
+ * sorted-path order, run the cross-TU rules over the collected facts,
+ * and apply the allowlist.
  */
 
 #include <algorithm>
-#include <atomic>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
-#include "lint/cache.hh"
 #include "lint/facts.hh"
 #include "lint/lint.hh"
 #include "lint/paths.hh"
@@ -60,16 +52,6 @@ struct ScanFile
     std::filesystem::path abs;
     std::string rel;
     bool factsOnly = false;
-};
-
-/** Result slot for one file, filled by a worker thread. */
-struct ScanResult
-{
-    std::vector<Diagnostic> diags;
-    FileFacts facts;
-    uint64_t hash = 0;
-    bool cached = false;
-    bool ok = false;
 };
 
 std::vector<ScanFile>
@@ -205,85 +187,27 @@ runLint(const LintConfig &config)
         }
     }
 
-    const std::vector<ScanFile> files = enumerateFiles(config);
-
-    ScanCache cache;
-    if (!config.cacheFile.empty()) {
-        std::ifstream in(config.cacheFile);
-        if (in) {
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            cache = ScanCache::parse(buffer.str(), config.rules);
-        }
-    }
-
-    // Parallel analysis into per-file slots; the merge below walks the
-    // slots in sorted-path order, so worker count never affects output.
-    std::vector<ScanResult> results(files.size());
-    std::atomic<size_t> cursor{0};
-    auto worker = [&]() {
-        for (;;) {
-            const size_t i = cursor.fetch_add(1);
-            if (i >= files.size())
-                return;
-            const ScanFile &file = files[i];
-            ScanResult &slot = results[i];
-            std::ifstream in(file.abs);
-            if (!in)
-                continue;
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            const std::string content = buffer.str();
-            slot.hash = fnv1a64(file.rel) ^ fnv1a64(content);
-            if (const CacheEntry *hit =
-                    cache.lookup(file.rel, slot.hash)) {
-                slot.diags = hit->diags;
-                slot.facts = hit->facts;
-                slot.cached = true;
-                slot.ok = true;
-                continue;
-            }
-            if (!file.factsOnly)
-                slot.diags = lintSource(file.rel, content, config.rules);
-            slot.facts = extractFacts(file.rel, content);
-            slot.ok = true;
-        }
-    };
-    unsigned jobs = config.jobs != 0
-                        ? config.jobs
-                        : std::thread::hardware_concurrency();
-    if (jobs == 0)
-        jobs = 1;
-    jobs = static_cast<unsigned>(
-        std::min<size_t>(jobs, std::max<size_t>(files.size(), 1)));
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &thread : pool)
-            thread.join();
-    }
-
-    // Canonical-order merge.
     std::vector<Diagnostic> findings;
     std::vector<FileFacts> tree_facts;
     std::vector<FileFacts> test_facts;
-    for (size_t i = 0; i < files.size(); ++i) {
-        const ScanResult &slot = results[i];
-        if (!slot.ok)
+    for (const ScanFile &file : enumerateFiles(config)) {
+        std::ifstream in(file.abs);
+        if (!in)
             continue;
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        const std::string content = buffer.str();
         ++report.filesScanned;
-        if (slot.cached)
-            ++report.cacheHits;
-        findings.insert(findings.end(), slot.diags.begin(),
-                        slot.diags.end());
-        if (files[i].factsOnly)
-            test_facts.push_back(slot.facts);
-        else
-            tree_facts.push_back(slot.facts);
+        if (file.factsOnly) {
+            test_facts.push_back(extractFacts(file.rel, content));
+            continue;
+        }
+        std::vector<Diagnostic> diags =
+            lintSource(file.rel, content, config.rules);
+        findings.insert(findings.end(),
+                        std::make_move_iterator(diags.begin()),
+                        std::make_move_iterator(diags.end()));
+        tree_facts.push_back(extractFacts(file.rel, content));
     }
 
     // Cross-TU rules (semantic set only).
@@ -357,22 +281,6 @@ runLint(const LintConfig &config)
             else
                 report.configErrors.push_back(std::move(diag));
         }
-    }
-
-    if (!config.cacheFile.empty()) {
-        ScanCache persisted;
-        for (size_t i = 0; i < files.size(); ++i) {
-            if (!results[i].ok)
-                continue;
-            CacheEntry entry;
-            entry.hash = results[i].hash;
-            entry.diags = std::move(results[i].diags);
-            entry.facts = std::move(results[i].facts);
-            persisted.store(files[i].rel, std::move(entry));
-        }
-        std::ofstream out(config.cacheFile);
-        if (out)
-            out << persisted.serialize(config.rules);
     }
 
     return report;

@@ -50,8 +50,7 @@
  * documentation never trip it. Exceptions live in an annotated
  * allowlist where every entry must carry a written justification;
  * entries that stop matching anything are hard errors (CI) with a
- * `--allow-stale` escape hatch for local WIP trees. The tree walk is
- * parallel and incremental (content-hash cache), and reports render as
+ * `--allow-stale` escape hatch for local WIP trees. Reports render as
  * text, JSON, or SARIF 2.1.0 for code-scanning upload.
  */
 
@@ -156,10 +155,6 @@ struct LintConfig
     std::vector<std::string> onlyFiles;
     /** Demote stale allowlist entries from errors to warnings. */
     bool allowStale = false;
-    /** Incremental cache file; empty = no cache. */
-    std::filesystem::path cacheFile;
-    /** Worker threads for the file scan; 0 = hardware concurrency. */
-    unsigned jobs = 0;
 };
 
 /** Aggregate result of a tree scan. */
@@ -172,7 +167,6 @@ struct LintReport
     /** Stale entries when allowStale is set (exit stays clean). */
     std::vector<Diagnostic> staleWarnings;
     std::size_t filesScanned = 0;
-    std::size_t cacheHits = 0;
 
     /** True when nothing requires attention (exit status 0). */
     bool clean() const
@@ -188,9 +182,6 @@ struct LintReport
  * superset of what a given checkout contains).
  */
 LintReport runLint(const LintConfig &config);
-
-/** Stable FNV-1a 64-bit hash (cache keying). */
-uint64_t fnv1a64(const std::string &text);
 
 /** Render the report as plain text diagnostics. */
 std::string renderText(const LintReport &report, bool verbose);

@@ -4,8 +4,8 @@
  *
  * Usage:
  *   xser-lint [--root <dir>] [--allow <file>] [--rules <set>]
- *             [--format text|json|sarif] [--cache <file>] [--jobs N]
- *             [--diff <base-ref>] [--allow-stale] [--verbose] [dir ...]
+ *             [--format text|json|sarif] [--diff <base-ref>]
+ *             [--allow-stale] [--verbose] [dir ...]
  *
  * Scans the given directories (default: src tools bench) under the
  * repository root for determinism/soundness violations and exits
@@ -39,10 +39,8 @@ usage(FILE *stream)
         stream,
         "usage: xser-lint [--root <dir>] [--allow <file>] [--rules "
         "classic|semantic|all]\n"
-        "          [--format text|json|sarif] [--cache <file>] [--jobs "
-        "N]\n"
-        "          [--diff <base-ref>] [--allow-stale] [--verbose] [dir "
-        "...]\n");
+        "          [--format text|json|sarif] [--diff <base-ref>]\n"
+        "          [--allow-stale] [--verbose] [dir ...]\n");
     return 2;
 }
 
@@ -112,11 +110,6 @@ main(int argc, char **argv)
             if (format != "text" && format != "json" &&
                 format != "sarif")
                 return usage(stderr);
-        } else if (arg == "--cache" && i + 1 < argc) {
-            config.cacheFile = argv[++i];
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            config.jobs =
-                static_cast<unsigned>(std::stoul(argv[++i]));
         } else if (arg == "--diff" && i + 1 < argc) {
             diff_ref = argv[++i];
         } else if (arg == "--allow-stale") {
