@@ -43,7 +43,10 @@ class Args
     std::string get(const std::string &key,
                     const std::string &fallback) const;
 
-    /** Numeric option with default (fatal on unparseable value). */
+    /**
+     * Numeric option with default. Fatal on an unparseable value and
+     * on NaN or an infinity, naming the option.
+     */
     double getDouble(const std::string &key, double fallback) const;
 
     /** Integer option with default (fatal on unparseable value). */
@@ -78,13 +81,27 @@ class Args
  * Refuse a misspelled or foreign option: fatal (exit 1) naming the
  * first option, in command-line order, that `tool`'s command
  * args.command() does not read. `tool` is the executable name --
- * "xser", "xser-server", "xser-worker" or "xser-client". A command
- * the tool does not have is left to its usage message.
+ * "xser", "xser-server", "xser-worker", "xser-client", "xser-trace"
+ * or "xser-metrics". A command the tool does not have is left to its
+ * usage message.
  */
 void requireKnownOptions(const Args &args, const std::string &tool);
 
-/** Parse an on|off option, default on (fatal on anything else). */
-bool onOffFlag(const Args &args, const char *name);
+/**
+ * Print `tool`'s --help text to stdout: every command with its summary
+ * and one line per option it reads, rendered from the same table
+ * requireKnownOptions() checks against.
+ */
+void printHelp(const std::string &tool);
+
+/**
+ * Vet a command line before `tool` runs it. Returns the status to exit
+ * with when nothing should run -- 0 after printing the help for
+ * `help`, `-h` or `--help`, 2 after printing it for a command `tool`
+ * does not have -- and -1 for a command to run, once
+ * requireKnownOptions() has refused any option it does not read.
+ */
+int vetCommandLine(const Args &args, const std::string &tool);
 
 /**
  * File path given to a --name option: empty when the option is absent,
@@ -97,18 +114,16 @@ uint64_t traceBufferEvents(const Args &args);
 
 /**
  * The session `xser session` runs, from --pmd (required), --soc,
- * --freq, --events, --fluence, --warmup, --seed and --fastpath (as
- * beam.skipAhead; the caller sets the platform's fast path to match).
- * Fatal on a stop target that would end the session before it
- * measures anything: --events 0, or a --fluence that is not a
- * positive, finite number.
+ * --freq, --events, --fluence, --warmup and --seed. Fatal on a stop
+ * target that would end the session before it measures anything:
+ * --events 0, or a --fluence that is not positive.
  */
 core::SessionConfig sessionConfig(const Args &args);
 
 /**
  * The campaign options `xser campaign` and `xser-client run` share --
- * --scale, --seed, --replicates, --fastpath,
- * --trace-buffer-events, and whether --trace / --metrics were given --
+ * --scale, --seed, --replicates, --trace-buffer-events, and whether
+ * --trace / --metrics were given --
  * with configHash filled from the rebuilt campaign. Fatal on a value
  * outside the bounds core/beam_campaign.hh defines.
  */

@@ -1,21 +1,12 @@
 /**
  * @file
  * The xser command-line driver: run characterizations, sessions,
- * campaigns, and policy analyses without writing C++.
- *
- *   xser spec
- *   xser characterize [--freq 2.4e9] [--start 980] [--stop 890]
- *                     [--runs 500] [--csv sweep.csv]
- *   xser session --pmd 920 [--soc 920] [--freq 2.4e9] [--events 50]
- *                [--fluence 2e10] [--warmup 8] [--seed 7]
- *                [--trace out.xtrace] [--csv out.csv]
- *   xser campaign [--scale 0.22] [--seed 7] [--jobs 8|auto]
- *                 [--replicates 4] [--trace out.xtrace] [--csv out.csv]
- *   xser tradeoff [--devices 50000] [--checkpoint 30] [--altitude 0]
- *                 [--budget 10]
+ * campaigns, and policy analyses without writing C++. `xser --help`
+ * lists every command and option, rendered from cli/args.cc's table.
  */
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -43,56 +34,8 @@ namespace {
 
 using namespace xser;
 
-void
-printUsage()
-{
-    std::printf(
-        "usage: xser <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  spec          print the simulated platform specification\n"
-        "  characterize  sweep the PMD supply and find the safe Vmin\n"
-        "                  --freq HZ --start MV --stop MV --runs N\n"
-        "                  --seed S --csv FILE\n"
-        "  session       one accelerated beam session\n"
-        "                  --pmd MV [--soc MV] [--freq HZ]\n"
-        "                  --events N --fluence NCM2 --warmup N\n"
-        "                  --seed S --csv FILE --fastpath on|off\n"
-        "                  --trace FILE --trace-buffer-events N\n"
-        "                  --metrics FILE (versioned run manifest)\n"
-        "  campaign      the paper's four Table 2 sessions\n"
-        "                  --scale F --seed S --csv FILE\n"
-        "                  --jobs N|auto --replicates R\n"
-        "                  --fastpath on|off (off = reference paths;\n"
-        "                  bit-identical results either way)\n"
-        "                  --trace FILE --trace-buffer-events N\n"
-        "                  --metrics FILE (versioned run manifest;\n"
-        "                  inspect with xser-metrics)\n"
-        "                  --progress (live stderr progress line;\n"
-        "                  TTY only, --quiet wins)\n"
-        "                  (results, trace files, and every manifest\n"
-        "                  section outside \"timing\" bit-identical for\n"
-        "                  any --jobs and with telemetry on or off;\n"
-        "                  see README 'Running campaigns')\n"
-        "  tradeoff      energy-vs-SDC policy curve for a fleet\n"
-        "                  --devices N --checkpoint SEC\n"
-        "                  --altitude M --budget SDCS_PER_YEAR\n"
-        "  avf           statistical fault injection per cache level\n"
-        "                  --workload NAME --trials N --flips K\n"
-        "                  --burst SIZE\n"
-        "                  --seed S\n"
-        "\n"
-        "global options:\n"
-        "  --quiet       suppress warnings, status output, and the\n"
-        "                live progress line (reports still print)\n");
-}
-
-int
-usage()
-{
-    printUsage();
-    return 2;
-}
+/** Upper bound of a count option read into an `unsigned`. */
+constexpr uint64_t maxUnsigned = std::numeric_limits<unsigned>::max();
 
 int
 cmdSpec()
@@ -113,8 +56,8 @@ cmdCharacterize(const cli::Args &args)
     config.frequencyHz = args.getDouble("freq", 2.4e9);
     config.startMillivolts = args.getDouble("start", 980.0);
     config.stopMillivolts = args.getDouble("stop", 890.0);
-    config.runsPerStep =
-        static_cast<unsigned>(args.getUint("runs", 500));
+    config.runsPerStep = static_cast<unsigned>(
+        args.getCount("runs", 500, 1, maxUnsigned));
     config.seed = args.getUint("seed", 0xc11ffULL);
     const volt::VminSweepResult result = characterizer.sweep(config);
 
@@ -152,7 +95,6 @@ cmdSession(const cli::Args &args)
     const telemetry::Stopwatch elapsed;
     core::SessionConfig config = cli::sessionConfig(args);
     const std::string metrics_path = cli::pathOption(args, "metrics");
-    const bool fastpath = config.beam.skipAhead;
 
     std::unique_ptr<trace::TraceWriter> writer = makeTraceWriter(args);
     std::unique_ptr<trace::TraceBuffer> buffer;
@@ -166,9 +108,7 @@ cmdSession(const cli::Args &args)
         config.traceSink = buffer.get();
     }
 
-    cpu::PlatformConfig platform_config;
-    platform_config.memory.fastPath = fastpath;
-    cpu::XGene2Platform platform(platform_config);
+    cpu::XGene2Platform platform;
     core::TestSession session(&platform, config);
     std::unique_ptr<telemetry::MetricRegistry> registry;
     if (!metrics_path.empty())
@@ -202,7 +142,6 @@ cmdSession(const cli::Args &args)
         info.seed = config.seed;
         info.sessions = 1;
         info.replicates = 1;
-        info.fastpath = fastpath;
         core::SessionAggregate aggregate;
         aggregate.point = config.point;
         aggregate.add(result);
@@ -278,11 +217,12 @@ cmdAvf(const cli::Args &args)
 {
     inject::AvfConfig config;
     config.workloadName = args.get("workload", "EP");
-    config.trials = static_cast<unsigned>(args.getUint("trials", 40));
+    config.trials =
+        static_cast<unsigned>(args.getCount("trials", 40, 1, maxUnsigned));
     config.flipsPerTrial =
-        static_cast<unsigned>(args.getUint("flips", 48));
+        static_cast<unsigned>(args.getCount("flips", 48, 1, maxUnsigned));
     config.burstSize =
-        static_cast<unsigned>(args.getUint("burst", 1));
+        static_cast<unsigned>(args.getCount("burst", 1, 0, maxUnsigned));
     config.seed = args.getUint("seed", 0xa7fULL);
     inject::AvfEstimator estimator(config);
     rad::CrossSectionModel xsection;
@@ -361,14 +301,9 @@ main(int argc, char **argv)
     const cli::Args args = cli::Args::parse(argc, argv);
     if (args.has("quiet"))
         Logger::global().setLevel(LogLevel::Quiet);
+    if (const int status = cli::vetCommandLine(args, "xser"); status >= 0)
+        return status;
     const std::string &command = args.command();
-    // `--help` parses as an option (no command), `help`/`-h` as a
-    // command; all three print the usage text and exit 0.
-    if (command == "help" || command == "-h" || args.has("help")) {
-        printUsage();
-        return 0;
-    }
-    cli::requireKnownOptions(args, "xser");
     if (command == "spec")
         return cmdSpec();
     if (command == "characterize")
@@ -381,5 +316,6 @@ main(int argc, char **argv)
         return cmdTradeoff(args);
     if (command == "avf")
         return cmdAvf(args);
-    return usage();
+    cli::printHelp("xser");
+    return 2;
 }

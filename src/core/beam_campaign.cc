@@ -105,10 +105,7 @@ campaignParamsProblem(const CampaignParams &params)
 CampaignConfig
 buildCampaign(const CampaignParams &params)
 {
-    CampaignConfig campaign =
-        BeamCampaign::paperCampaign(params.scale, params.seed);
-    setFastPath(campaign, params.fastpath);
-    return campaign;
+    return BeamCampaign::paperCampaign(params.scale, params.seed);
 }
 
 } // namespace xser::core

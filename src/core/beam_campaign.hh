@@ -106,7 +106,6 @@ struct CampaignParams {
     double scale = 0.22;
     uint64_t seed = 0x5e5510ULL;
     uint32_t replicates = 1;
-    bool fastpath = true;
     uint64_t traceBufferEvents = 0;
     bool wantTrace = false;
     bool wantMetrics = false;

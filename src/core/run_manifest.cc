@@ -36,7 +36,6 @@ writeRunSection(telemetry::JsonWriter &json,
         json.member("scale", info.scale);
     json.member("sessions", static_cast<uint64_t>(info.sessions));
     json.member("replicates", static_cast<uint64_t>(info.replicates));
-    json.member("fastpath", info.fastpath);
     json.endObject();
 }
 
@@ -110,7 +109,6 @@ renderCampaignManifest(const CampaignParams &params,
     info.scale = params.scale;
     info.sessions = static_cast<unsigned>(sweep.sessions.size());
     info.replicates = params.replicates;
-    info.fastpath = params.fastpath;
     return renderRunManifest(info, sweep.sessions, registry, jobs,
                              elapsed_seconds);
 }

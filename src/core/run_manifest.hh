@@ -25,7 +25,6 @@ struct ManifestRunInfo {
     double scale = -1.0;      ///< stop-criteria scale; <0 = omit
     unsigned sessions = 0;
     unsigned replicates = 1;
-    bool fastpath = true;
 };
 
 /**

@@ -75,7 +75,8 @@ class Client
             return false;
         send(FrameType::Hello, encode(HelloMsg{PeerRole::Client}));
         net::Frame frame;
-        const PumpStatus status = nextFrame(frame, 10.0);
+        const PumpStatus status =
+            nextFrame(frame, handshakeTimeoutSeconds);
         if (status != PumpStatus::Frame ||
             static_cast<FrameType>(frame.type) != FrameType::HelloAck) {
             error = "handshake with server failed";
@@ -155,11 +156,11 @@ class Client
         // One initial attempt plus reconnect/resume by campaign id:
         // a dropped connection discards any partial artifact stream
         // and re-attaches from scratch.
-        for (unsigned attempt = 0;
-             attempt <= config_.reconnectAttempts; ++attempt) {
+        for (unsigned attempt = 0; attempt <= reconnectAttempts;
+             ++attempt) {
             if (attempt > 0) {
                 warn(msg("connection lost; reconnect attempt ",
-                         attempt, " of ", config_.reconnectAttempts));
+                         attempt, " of ", reconnectAttempts));
                 sleepSeconds(1.0);
             }
             std::string error;
@@ -204,7 +205,7 @@ class Client
             }
             const uint64_t now = telemetry::monotonicNanos();
             if (static_cast<double>(now - last_heartbeat) * 1e-9 >
-                2.0) {
+                heartbeatSeconds) {
                 send(FrameType::Heartbeat, "");
                 last_heartbeat = now;
             }

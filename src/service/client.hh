@@ -47,8 +47,6 @@ struct ClientConfig {
     bool detach = false;
     /** Live progress meter on stderr (TTY only, --quiet wins). */
     bool progress = false;
-    /** Reconnect attempts after a dropped connection. */
-    unsigned reconnectAttempts = 5;
 };
 
 /** Run the client; returns the process exit code. */

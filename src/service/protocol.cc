@@ -24,7 +24,6 @@ visit(Archive &ar, CampaignParams &params)
     ar.f64(params.scale);
     ar.u64(params.seed);
     ar.u32(params.replicates);
-    ar.u8(params.fastpath);
     ar.u64(params.traceBufferEvents);
     ar.u8(params.wantTrace);
     ar.u8(params.wantMetrics);
@@ -52,8 +51,6 @@ visit(Archive &ar, core::WorkloadSessionStats &stats)
     ar.u64(stats.upsetsDetected);
     visit(ar, stats.events);
 }
-
-void visit(Archive &ar, UnitResultMsg &unit);
 
 /**
  * A u32-counted sequence. Loading stops at the first poisoned read, so
@@ -140,19 +137,9 @@ visit(Archive &ar, ShardAssignMsg &msg)
     ar.u64(msg.campaignId);
     visit(ar, msg.params);
     ar.u32(msg.session);
-    ar.u32(msg.replicateBegin);
-    ar.u32(msg.replicateEnd);
-    if (msg.replicateBegin >= msg.replicateEnd)
-        ar.reject("empty replicate range");
-}
-
-void
-visit(Archive &ar, UnitResultMsg &unit)
-{
-    ar.u32(unit.replicate);
-    visit(ar, unit.result);
-    ar.u64(unit.traceEventCount);
-    ar.str64(unit.traceBytes);
+    ar.u32(msg.replicate);
+    if (msg.replicate >= msg.params.replicates)
+        ar.reject("replicate out of range");
 }
 
 void
@@ -160,10 +147,11 @@ visit(Archive &ar, ShardResultMsg &msg)
 {
     ar.u64(msg.campaignId);
     ar.u32(msg.session);
-    ar.u32(msg.replicateBegin);
-    ar.u32(msg.replicateEnd);
+    ar.u32(msg.replicate);
     ar.str64(msg.prefixTelemetry);
-    visitSequence(ar, msg.units);
+    visit(ar, msg.unit.result);
+    ar.u64(msg.unit.traceEventCount);
+    ar.str64(msg.unit.traceBytes);
     ar.str64(msg.shardTelemetry);
 }
 

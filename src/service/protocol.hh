@@ -7,9 +7,9 @@
  * re-attaches to one by id (Attach), watches Progress, and receives
  * the finished artifacts -- report text, .xtrace bytes, run manifest
  * -- as ArtifactChunk streams followed by CampaignDone. A *worker*
- * announces itself (Hello/WorkerReady), receives ShardAssign frames
- * naming (session, replicate-range) shards, executes them through
- * core::ShardExecutor, and answers each with one atomic ShardResult.
+ * announces itself (Hello), receives ShardAssign frames naming one
+ * (session, replicate) unit each, executes it through
+ * core::ShardExecutor, and answers with one atomic ShardResult.
  * The *server* owns the work queue and performs the canonical
  * replicate-major merge, so the artifacts are bit-identical to a
  * local `xser campaign --jobs N` run.
@@ -47,9 +47,8 @@ enum class FrameType : uint32_t {
     Accepted,        ///< server -> client: campaign id + unit count
     Attach,          ///< client -> server: watch an existing campaign
     Progress,        ///< server -> client: done/total units
-    ShardAssign,     ///< server -> worker: execute one shard
-    ShardResult,     ///< worker -> server: one shard's results
-    WorkerReady,     ///< worker -> server: idle, give me work
+    ShardAssign,     ///< server -> worker: execute one unit
+    ShardResult,     ///< worker -> server: that unit's outcome
     Heartbeat,       ///< either direction: liveness while idle
     CampaignDone,    ///< server -> client: terminal status
     ArtifactChunk,   ///< server -> client: artifact byte range
@@ -57,6 +56,25 @@ enum class FrameType : uint32_t {
     ShutdownRequest, ///< client -> server: drain and exit
     ShutdownAck,     ///< server -> client: shutdown under way
 };
+
+/** Seconds between the heartbeats an idle worker or client sends. */
+constexpr double heartbeatSeconds = 2.0;
+
+/**
+ * Seconds the server lets a connection sit before its Hello, and a
+ * client waits for the server's HelloAck.
+ */
+constexpr double handshakeTimeoutSeconds = 10.0;
+
+/**
+ * Seconds of silence after which the server drops an idle connection.
+ * Never applied to a worker with a unit in flight: a single-threaded
+ * worker cannot heartbeat while computing.
+ */
+constexpr double idleTimeoutSeconds = 60.0;
+
+/** Times a client reconnects and re-attaches after a dropped link. */
+constexpr unsigned reconnectAttempts = 5;
 
 /** Who a connection claims to be in its Hello. */
 enum class PeerRole : uint8_t {
@@ -104,38 +122,31 @@ struct ProgressMsg {
     uint64_t total = 0;
 };
 
-/** ShardAssign payload: one (session, replicate-range) shard. */
+/** ShardAssign payload: one (session, replicate) unit. */
 struct ShardAssignMsg {
     uint64_t campaignId = 0;
     CampaignParams params;
     uint32_t session = 0;
-    uint32_t replicateBegin = 0;
-    uint32_t replicateEnd = 0; ///< exclusive
-};
-
-/** One unit's outcome within a ShardResult, tagged with its replicate. */
-struct UnitResultMsg : core::UnitOutcome {
     uint32_t replicate = 0;
 };
 
 /**
- * ShardResult payload. `prefixTelemetry` is the telemetry shard the
- * worker recorded while sealing the campaign's golden prefix,
- * attached to the worker's first result of each campaign it serves
- * (empty otherwise); the server accepts the first such blob per
- * campaign and drops duplicates, which is sound because sealing is
- * deterministic.
- * `shardTelemetry` covers the unit executions and travels atomically
- * with the results, so a worker that dies mid-shard contributes
- * nothing at all and the requeued shard re-records identically.
+ * ShardResult payload: the outcome of the assigned unit.
+ * `prefixTelemetry` is the telemetry shard the worker recorded while
+ * sealing the campaign's golden prefix, attached to the worker's first
+ * result of each campaign it serves (empty otherwise); the server
+ * accepts the first such blob per campaign and drops duplicates, which
+ * is sound because sealing is deterministic.
+ * `shardTelemetry` covers the unit's execution and travels atomically
+ * with its outcome, so a worker that dies mid-unit contributes nothing
+ * at all and the requeued unit re-records identically.
  */
 struct ShardResultMsg {
     uint64_t campaignId = 0;
     uint32_t session = 0;
-    uint32_t replicateBegin = 0;
-    uint32_t replicateEnd = 0;
+    uint32_t replicate = 0;
     std::string prefixTelemetry;
-    std::vector<UnitResultMsg> units;
+    core::UnitOutcome unit;
     std::string shardTelemetry;
 };
 
@@ -177,10 +188,10 @@ std::string encode(const Msg &msg);
 /**
  * Decode a payload into `out`. Never fatals: a truncated, trailing, or
  * out-of-range payload (unknown role or artifact kind, campaign
- * parameters core::campaignParamsProblem refuses, an empty replicate
- * range, a count skew) returns false with `error` set. A MetricShard
- * decodes by weighted adds into `out`'s (empty) histograms, so integer
- * counts transfer exactly.
+ * parameters core::campaignParamsProblem refuses, a ShardAssign
+ * replicate outside its parameters, a count skew) returns false with
+ * `error` set. A MetricShard decodes by weighted adds into `out`'s
+ * (empty) histograms, so integer counts transfer exactly.
  */
 template <class Msg>
 bool decode(const std::string &payload, Msg &out, std::string &error);

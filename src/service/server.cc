@@ -35,11 +35,10 @@ constexpr size_t artifactChunkBytes = size_t(64) * 1024;
 /** Stop enqueueing artifact chunks while an outbox holds this much. */
 constexpr size_t outboxHighWater = size_t(256) * 1024;
 
-/** One queued (session, replicate-range) shard. */
+/** One queued (session, replicate) unit. */
 struct PendingShard {
     uint32_t session = 0;
-    uint32_t replicateBegin = 0;
-    uint32_t replicateEnd = 0;
+    uint32_t replicate = 0;
 };
 
 /** One campaign's full server-side state. */
@@ -265,13 +264,6 @@ class Server
           case FrameType::Attach:
             handleAttach(connection, frame.payload);
             return;
-          case FrameType::WorkerReady:
-            if (connection.kind != Connection::Kind::Worker) {
-                protocolError(connection,
-                              "worker-ready from a client");
-                return;
-            }
-            return; // assignWork() sees the idle worker each pass
           case FrameType::ShardResult:
             handleShardResult(connection, frame.payload);
             return;
@@ -330,23 +322,13 @@ class Server
             campaign->registry =
                 std::make_unique<telemetry::MetricRegistry>(1);
         for (uint32_t session = 0;
-             session < campaign->numSessions; ++session) {
-            for (uint32_t begin = 0;
-                 begin < submit.params.replicates;
-                 begin += config_.shardReplicates) {
-                PendingShard shard;
-                shard.session = session;
-                shard.replicateBegin = begin;
-                shard.replicateEnd =
-                    std::min(begin + config_.shardReplicates,
-                             submit.params.replicates);
-                campaign->pending.push_back(shard);
-            }
-        }
+             session < campaign->numSessions; ++session)
+            for (uint32_t replicate = 0;
+                 replicate < submit.params.replicates; ++replicate)
+                campaign->pending.push_back({session, replicate});
         const uint64_t id = campaign->id;
         const uint64_t total = campaign->units.size();
-        inform(msg("campaign ", id, " accepted: ", total, " units in ",
-                   campaign->pending.size(), " shards"));
+        inform(msg("campaign ", id, " accepted: ", total, " units"));
         campaigns_.emplace(id, std::move(campaign));
         connection.watching = id;
         send(connection, FrameType::Accepted,
@@ -406,10 +388,7 @@ class Server
         const PendingShard &shard = connection.shard;
         if (result.campaignId != connection.shardCampaign ||
             result.session != shard.session ||
-            result.replicateBegin != shard.replicateBegin ||
-            result.replicateEnd != shard.replicateEnd ||
-            result.units.size() !=
-                shard.replicateEnd - shard.replicateBegin) {
+            result.replicate != shard.replicate) {
             protocolError(connection,
                           "shard result does not match assignment");
             return;
@@ -424,39 +403,22 @@ class Server
             connection.busy = false;
             return;
         }
-        // Validate the whole message before touching campaign state:
-        // a rejected result must leave nothing applied, so the reaper
-        // can requeue the shard coordinates cleanly (busy stays set
-        // until the result is accepted).
-        std::set<uint32_t> seen;
-        for (const UnitResultMsg &unit : result.units) {
-            if (unit.replicate < shard.replicateBegin ||
-                unit.replicate >= shard.replicateEnd ||
-                !seen.insert(unit.replicate).second) {
-                protocolError(connection,
-                              "unit outside the assigned shard");
-                return;
-            }
-            const size_t index =
-                static_cast<size_t>(unit.replicate) *
-                    campaign.numSessions +
-                shard.session;
-            if (campaign.unitDone[index]) {
-                protocolError(connection, "duplicate unit result");
-                return;
-            }
+        // Validate before touching campaign state: a rejected result
+        // must leave nothing applied, so the reaper can requeue the
+        // unit's coordinates cleanly (busy stays set until the result
+        // is accepted).
+        const size_t index =
+            static_cast<size_t>(shard.replicate) * campaign.numSessions +
+            shard.session;
+        if (campaign.unitDone[index]) {
+            protocolError(connection, "duplicate unit result");
+            return;
         }
         connection.busy = false;
         campaign.workersSeen.insert(connection.id);
-        for (UnitResultMsg &unit : result.units) {
-            const size_t index =
-                static_cast<size_t>(unit.replicate) *
-                    campaign.numSessions +
-                shard.session;
-            campaign.units[index] = std::move(unit);
-            campaign.unitDone[index] = true;
-            ++campaign.unitsDone;
-        }
+        campaign.units[index] = std::move(result.unit);
+        campaign.unitDone[index] = true;
+        ++campaign.unitsDone;
         absorbTelemetry(campaign, result);
         broadcastProgress(campaign);
         if (campaign.unitsDone == campaign.units.size())
@@ -648,8 +610,7 @@ class Server
             assign.campaignId = chosen->id;
             assign.params = chosen->params;
             assign.session = shard.session;
-            assign.replicateBegin = shard.replicateBegin;
-            assign.replicateEnd = shard.replicateEnd;
+            assign.replicate = shard.replicate;
             send(connection, FrameType::ShardAssign,
                  encode(assign));
         }
@@ -684,12 +645,11 @@ class Server
         if (campaign.finished || campaign.failed)
             return;
         warn(msg("worker connection ", connection.id,
-                 " lost mid-shard; requeueing campaign ", campaign.id,
-                 " session ", connection.shard.session,
-                 " replicates [", connection.shard.replicateBegin,
-                 ", ", connection.shard.replicateEnd, ")"));
-        // Front of the queue: the lost shard is the oldest
-        // outstanding work and should not starve behind the backlog.
+                 " lost mid-unit; requeueing campaign ", campaign.id,
+                 " session ", connection.shard.session, " replicate ",
+                 connection.shard.replicate));
+        // Front of the queue: the lost unit is the oldest outstanding
+        // work and should not starve behind the backlog.
         campaign.pending.push_front(connection.shard);
     }
 
@@ -706,7 +666,7 @@ class Server
                 continue;
             if (connection.kind == Connection::Kind::Pending &&
                 seconds(connection.connectedNanos) >
-                    config_.handshakeTimeoutSeconds) {
+                    handshakeTimeoutSeconds) {
                 warn(msg("connection ", connection.id,
                          ": handshake timeout"));
                 connection.dead = true;
@@ -715,7 +675,7 @@ class Server
             if (connection.kind != Connection::Kind::Pending &&
                 !connection.busy &&
                 seconds(connection.lastSeenNanos) >
-                    config_.idleTimeoutSeconds) {
+                    idleTimeoutSeconds) {
                 warn(msg("connection ", connection.id,
                          ": idle timeout"));
                 connection.dead = true;

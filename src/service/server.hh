@@ -1,16 +1,16 @@
 /**
  * @file
  * The xser-server campaign service: a single-threaded poll() event
- * loop that owns a queue of (session, replicate-range) shards, hands
- * them to connected workers, and finishes each campaign with the same
- * core merge and renderers as a local run, so the artifacts -- report
- * text, .xtrace bytes, run manifest -- are bit-identical to a local
- * `xser campaign --jobs N` run (DESIGN.md section 12).
+ * loop that owns a queue of (session, replicate) units, hands them to
+ * connected workers one at a time, and finishes each campaign with the
+ * same core merge and renderers as a local run, so the artifacts --
+ * report text, .xtrace bytes, run manifest -- are bit-identical to a
+ * local `xser campaign --jobs N` run (DESIGN.md section 12).
  *
- * Fault model: a worker that disconnects mid-shard contributes
- * nothing (results travel in one atomic ShardResult frame), so the
- * server simply requeues the shard's coordinates for the next idle
- * worker; determinism of core::ShardExecutor guarantees the re-run is
+ * Fault model: a worker that disconnects mid-unit contributes nothing
+ * (a result travels in one atomic ShardResult frame), so the server
+ * simply requeues the unit's coordinates for the next idle worker;
+ * determinism of core::ShardExecutor guarantees the re-run is
  * bit-identical to what the dead worker would have produced. Clients
  * may disconnect and re-attach by campaign id at any time.
  */
@@ -38,16 +38,6 @@ struct ServerConfig {
      * this for a clean, deterministic server exit.
      */
     unsigned maxCampaigns = 0;
-    /** Replicates per shard (shard = session x replicate range). */
-    uint32_t shardReplicates = 1;
-    /** Seconds a connection may sit un-helloed before being dropped. */
-    double handshakeTimeoutSeconds = 10.0;
-    /**
-     * Seconds of silence after which an idle connection is dropped.
-     * Never applied to a worker with an in-flight shard (a
-     * single-threaded worker cannot heartbeat while computing).
-     */
-    double idleTimeoutSeconds = 60.0;
 };
 
 /**

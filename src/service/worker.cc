@@ -24,10 +24,11 @@ namespace xser::service {
 namespace {
 
 /**
- * One sealed golden prefix, cached by its key hash across campaigns.
- * Map nodes never move, so `view` keeps aliasing `checkpoint`.
+ * The worker's one sealed golden prefix. `view` aliases `checkpoint`,
+ * so the two are only ever replaced together.
  */
-struct PrefixEntry {
+struct SealedPrefix {
+    uint64_t keyHash = 0;
     std::string checkpoint;
     core::CheckpointView view; ///< verified once, when sealed
     /** The seal's telemetry, attached once to every campaign it serves. */
@@ -40,12 +41,6 @@ struct WorkerCampaign {
     /** Whether this campaign has been sent the prefix telemetry. */
     bool prefixTelemetrySent = false;
 };
-
-/**
- * Most cached prefixes: the prefix key of a campaign buildCampaign()
- * makes depends only on its fast-path setting.
- */
-constexpr size_t maxCachedPrefixes = 2;
 
 class Worker
 {
@@ -88,7 +83,7 @@ class Worker
                 fatal("connection to server lost");
             const uint64_t now = telemetry::monotonicNanos();
             if (static_cast<double>(now - last_heartbeat) * 1e-9 >
-                config_.heartbeatSeconds) {
+                heartbeatSeconds) {
                 send(FrameType::Heartbeat, "");
                 last_heartbeat = now;
             }
@@ -129,8 +124,6 @@ class Worker
         std::string error;
         switch (static_cast<FrameType>(frame.type)) {
           case FrameType::HelloAck:
-            send(FrameType::WorkerReady, "");
-            return true;
           case FrameType::Heartbeat:
             return true;
           case FrameType::ShardAssign: {
@@ -147,7 +140,6 @@ class Worker
                 std::_Exit(3);
             }
             runShard(assign);
-            send(FrameType::WorkerReady, "");
             return true;
           }
           case FrameType::ErrorMsg: {
@@ -197,40 +189,32 @@ class Worker
         ShardResultMsg result;
         result.campaignId = assign.campaignId;
         result.session = assign.session;
-        result.replicateBegin = assign.replicateBegin;
-        result.replicateEnd = assign.replicateEnd;
+        result.replicate = assign.replicate;
 
         const uint64_t key = executor.prefixKeyHash();
-        if (prefixes_.count(key) == 0 &&
-            prefixes_.size() >= maxCachedPrefixes)
-            prefixes_.clear();
-        PrefixEntry &entry = prefixes_[key];
-        if (entry.checkpoint.empty()) {
+        if (prefix_.checkpoint.empty() || prefix_.keyHash != key) {
             // Seal into a dedicated telemetry shard so the server can
             // reproduce the local once-per-campaign prefix accounting
             // (it keeps the first blob per campaign).
             telemetry::MetricShard prefix_shard;
             {
                 const telemetry::ShardScope scope(&prefix_shard);
-                entry.checkpoint = executor.sealPrefix();
-                entry.view = executor.openPrefix(entry.checkpoint);
+                prefix_.keyHash = key;
+                prefix_.checkpoint = executor.sealPrefix();
+                prefix_.view = executor.openPrefix(prefix_.checkpoint);
             }
-            entry.telemetryBlob = encode(prefix_shard);
+            prefix_.telemetryBlob = encode(prefix_shard);
         }
         if (!campaign.prefixTelemetrySent) {
             campaign.prefixTelemetrySent = true;
-            result.prefixTelemetry = entry.telemetryBlob;
+            result.prefixTelemetry = prefix_.telemetryBlob;
         }
 
         telemetry::MetricShard shard_telemetry;
         {
             const telemetry::ShardScope scope(&shard_telemetry);
-            for (uint32_t replicate = assign.replicateBegin;
-                 replicate < assign.replicateEnd; ++replicate)
-                result.units.push_back(UnitResultMsg{
-                    executor.runUnit(assign.session, replicate,
-                                     entry.view),
-                    replicate});
+            result.unit = executor.runUnit(assign.session,
+                                           assign.replicate, prefix_.view);
         }
         result.shardTelemetry = encode(shard_telemetry);
         send(FrameType::ShardResult, encode(result));
@@ -241,7 +225,7 @@ class Worker
     net::FrameReader reader_;
     std::string outbox_;
     std::map<uint64_t, std::unique_ptr<WorkerCampaign>> campaigns_;
-    std::map<uint64_t, PrefixEntry> prefixes_;
+    SealedPrefix prefix_;
     unsigned assignmentsSeen_ = 0;
 };
 

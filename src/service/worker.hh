@@ -1,16 +1,16 @@
 /**
  * @file
  * The xser-worker shard executor: connects to an xser-server, pulls
- * (session, replicate-range) shards, runs them through
- * core::ShardExecutor, and answers each with one atomic ShardResult
- * frame (DESIGN.md section 12).
+ * (session, replicate) units, runs them through core::ShardExecutor,
+ * and answers each with one atomic ShardResult frame (DESIGN.md
+ * section 12).
  *
  * The worker is single-threaded: it polls the connection while idle
  * (heartbeating so the server's idle timeout never fires) and computes
  * synchronously while assigned -- the server knows not to expect
- * liveness from a busy worker. A campaign's golden prefix is sealed
- * and verified once per prefix key and cached across campaigns,
- * mirroring the local runner's phase 1.
+ * liveness from a busy worker. It holds one sealed and verified golden
+ * prefix, reused across campaigns while their prefix key matches and
+ * resealed when it does not, mirroring the local runner's phase 1.
  */
 
 #ifndef XSER_SERVICE_WORKER_HH
@@ -32,8 +32,6 @@ struct WorkerConfig {
      * changes campaign bytes.
      */
     unsigned crashOnShard = 0;
-    /** Seconds between idle heartbeats. */
-    double heartbeatSeconds = 2.0;
 };
 
 /** Run the worker loop; returns the process exit code. */

@@ -9,13 +9,15 @@
 # through xser-server with two workers, again with one of the two
 # workers crashing mid-campaign (exercising the requeue path), and
 # twice in a row through one server and the same two workers (the
-# second campaign restores from the prefixes the workers cached during
-# the first, and must still account for them once) -- and asserts the
+# second campaign restores from the prefix the workers sealed during
+# the first, and must still account for it once) -- and asserts the
 # report text and .xtrace bytes are identical with cmp and the run
 # manifests identical modulo the wall-clock "timing" section with
 # xser-metrics diff. Any drift is a determinism regression in the
-# shard protocol, the merge order, the worker's prefix cache, or the
-# telemetry transfer.
+# shard protocol, the merge order, the worker's sealed prefix, or the
+# telemetry transfer. A fifth run detaches from a server that runs
+# until told otherwise, attaches by campaign id for the report, and
+# shuts the service down: the server and both workers must exit 0.
 set -eu
 
 if [ "$#" -ne 5 ]; then
@@ -47,36 +49,45 @@ run_local() {
          --metrics out.json > report.txt)
 }
 
+# start_service DIR MAX_CAMPAIGNS WORKER1_FLAGS...
+# Starts a server (running until shut down when MAX_CAMPAIGNS is empty)
+# and two workers, the first with WORKER1_FLAGS; sets PORT, SERVER_PID
+# and WORKER_PIDS.
+start_service() {
+    local d=$1 campaigns=$2; shift 2
+    mkdir -p "$d"
+    "$SERVER" --port 0 --port-file "$d/port.txt" \
+        ${campaigns:+--max-campaigns "$campaigns"} > "$d/server.log" 2>&1 &
+    SERVER_PID=$!
+    PIDS="$PIDS $SERVER_PID"
+    for _ in $(seq 1 100); do
+        [ -s "$d/port.txt" ] && break
+        sleep 0.1
+    done
+    [ -s "$d/port.txt" ] || { echo "server never bound" >&2; exit 1; }
+    PORT=$(cat "$d/port.txt")
+    "$WORKER" --port "$PORT" "$@" > "$d/worker1.log" 2>&1 &
+    WORKER_PIDS=$!
+    "$WORKER" --port "$PORT" > "$d/worker2.log" 2>&1 &
+    WORKER_PIDS="$WORKER_PIDS $!"
+    PIDS="$PIDS $WORKER_PIDS"
+}
+
 # run_distributed DIR CAMPAIGNS EXTRA_WORKER_FLAGS...
 # Runs CAMPAIGNS consecutive client runs through one server and its two
 # workers, campaign i into DIR/i.
 run_distributed() {
     local dir=$1 campaigns=$2; shift 2
     local d="$WORKDIR/$dir"
-    mkdir -p "$d"
-    "$SERVER" --port 0 --port-file "$d/port.txt" \
-        --max-campaigns "$campaigns" > "$d/server.log" 2>&1 &
-    local server_pid=$!
-    PIDS="$PIDS $server_pid"
-    for _ in $(seq 1 100); do
-        [ -s "$d/port.txt" ] && break
-        sleep 0.1
-    done
-    [ -s "$d/port.txt" ] || { echo "server never bound" >&2; exit 1; }
-    local port
-    port=$(cat "$d/port.txt")
-    "$WORKER" --port "$port" "$@" > "$d/worker1.log" 2>&1 &
-    PIDS="$PIDS $!"
-    "$WORKER" --port "$port" > "$d/worker2.log" 2>&1 &
-    PIDS="$PIDS $!"
+    start_service "$d" "$campaigns" "$@"
     for i in $(seq 1 "$campaigns"); do
         mkdir -p "$d/$i"
         (cd "$d/$i" &&
-         "$CLIENT" run --port "$port" --scale "$SCALE" --seed "$SEED" \
+         "$CLIENT" run --port "$PORT" --scale "$SCALE" --seed "$SEED" \
              --replicates "$REPLICATES" --trace out.xtrace \
              --metrics out.json > report.txt 2> client.log)
     done
-    wait "$server_pid"
+    wait "$SERVER_PID"
 }
 
 compare() {
@@ -108,5 +119,24 @@ echo "== distributed: two campaigns through the same workers =="
 run_distributed twice 2
 compare twice/1 "first of two campaigns"
 compare twice/2 "second of two campaigns"
+
+echo "== distributed: detach, attach by id, shut down =="
+d="$WORKDIR/detach"
+start_service "$d" ""
+id=$("$CLIENT" run --port "$PORT" --scale "$SCALE" --seed "$SEED" \
+         --replicates "$REPLICATES" --detach 2> "$d/client.log")
+[ "$id" -ge 1 ] 2> /dev/null ||
+    { echo "FAIL: run --detach printed '$id', not a campaign id" >&2
+      exit 1; }
+"$CLIENT" attach --port "$PORT" --id "$id" > "$d/report.txt" \
+    2>> "$d/client.log"
+# The detached run records no trace, so its report has no trace line.
+grep -v '^trace: ' "$WORKDIR/local/report.txt" | cmp - "$d/report.txt" ||
+    { echo "FAIL: attached report differs from local run" >&2; exit 1; }
+"$CLIENT" shutdown --port "$PORT" 2>> "$d/client.log"
+for pid in $SERVER_PID $WORKER_PIDS; do
+    wait "$pid" ||
+        { echo "FAIL: process $pid exited $? after shutdown" >&2; exit 1; }
+done
 
 echo "PASS: distributed campaign byte-identical to local run"

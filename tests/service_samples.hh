@@ -20,7 +20,6 @@ sampleParams()
     params.scale = 0.07;
     params.seed = 0xdecafbadULL;
     params.replicates = 3;
-    params.fastpath = false;
     params.traceBufferEvents = 4096;
     params.wantTrace = true;
     params.wantMetrics = true;
@@ -67,17 +66,11 @@ sampleShardResult()
     service::ShardResultMsg msg;
     msg.campaignId = 77;
     msg.session = 2;
-    msg.replicateBegin = 1;
-    msg.replicateEnd = 3;
+    msg.replicate = 1;
     msg.prefixTelemetry = "prefix-blob";
-    for (uint32_t replicate = 1; replicate < 3; ++replicate) {
-        service::UnitResultMsg unit;
-        unit.replicate = replicate;
-        unit.result = sampleResult();
-        unit.traceEventCount = 12;
-        unit.traceBytes = std::string("\x01\x02\x00raw", 6);
-        msg.units.push_back(unit);
-    }
+    msg.unit.result = sampleResult();
+    msg.unit.traceEventCount = 12;
+    msg.unit.traceBytes = std::string("\x01\x02\x00raw", 6);
     msg.shardTelemetry = "shard-blob";
     return msg;
 }
@@ -98,8 +91,7 @@ sampleShardAssign()
     assign.campaignId = 5;
     assign.params = sampleParams();
     assign.session = 1;
-    assign.replicateBegin = 0;
-    assign.replicateEnd = 2;
+    assign.replicate = 2;
     return assign;
 }
 

@@ -331,10 +331,11 @@ TEST(CheckpointTelemetry, OpenedCountersCountOneRestorePerUnit)
 
 TEST(PrefixKey, EveryBuiltCampaignHasOneKeyPerFastPathSetting)
 {
-    // The worker's prefix cache holds two entries on the strength of
-    // this: whatever the scale and seed, every session of a campaign
-    // buildCampaign() makes shares one key (campaignPrefixKey would
-    // refuse it otherwise), and only the fast-path setting changes it.
+    // A worker holds one sealed prefix on the strength of this: whatever
+    // the scale and seed, every session of a campaign buildCampaign()
+    // makes shares one key (campaignPrefixKey would refuse it
+    // otherwise). Only the fast-path setting, which tests flip through
+    // setFastPath, changes it.
     std::vector<uint64_t> keys;
     for (const bool fastpath : {true, false}) {
         for (const double scale : {0.005, 0.22, 1.0}) {
@@ -342,12 +343,14 @@ TEST(PrefixKey, EveryBuiltCampaignHasOneKeyPerFastPathSetting)
                 CampaignParams params;
                 params.scale = scale;
                 params.seed = seed;
-                params.fastpath = fastpath;
-                keys.push_back(prefixKeyHash(
-                    campaignPrefixKey(buildCampaign(params))));
+                CampaignConfig config = buildCampaign(params);
+                setFastPath(config, fastpath);
+                keys.push_back(prefixKeyHash(campaignPrefixKey(config)));
             }
         }
     }
+    EXPECT_EQ(std::set<uint64_t>(keys.begin(), keys.begin() + 6).size(),
+              1u);
     EXPECT_EQ(std::set<uint64_t>(keys.begin(), keys.end()).size(), 2u);
 }
 

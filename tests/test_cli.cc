@@ -74,6 +74,27 @@ TEST(ArgsDeath, RejectsGarbageNumbers)
                 ::testing::ExitedWithCode(1), "expects an integer");
 }
 
+TEST(ArgsDeath, NonFiniteNumbersAreRefusedByName)
+{
+    // NaN passes every `x <= 0` range check downstream, so the parser
+    // must stop it, for every option, naming the option.
+    for (const char *value : {"nan", "inf", "-inf", "1e400"}) {
+        SCOPED_TRACE(value);
+        EXPECT_EXIT(parse({"session", "--freq", value})
+                        .getDouble("freq", 2.4e9),
+                    ::testing::ExitedWithCode(1),
+                    "option --freq expects a finite number");
+    }
+    for (const char *option : {"--pmd", "--soc", "--freq"}) {
+        SCOPED_TRACE(option);
+        EXPECT_EXIT(cli::sessionConfig(parse({"session", "--pmd", "920",
+                                              option, "nan"})),
+                    ::testing::ExitedWithCode(1),
+                    std::string("option ") + option +
+                        " expects a finite number");
+    }
+}
+
 TEST(ArgsDeath, RejectsExtraPositional)
 {
     EXPECT_EXIT(parse({"session", "bogus"}),
@@ -88,7 +109,6 @@ TEST(Args, CampaignParamsDefaultsAndHash)
     EXPECT_DOUBLE_EQ(params.scale, 0.05);
     EXPECT_EQ(params.seed, 0x5e5510ULL);
     EXPECT_EQ(params.replicates, 3u);
-    EXPECT_TRUE(params.fastpath);
     EXPECT_EQ(params.traceBufferEvents,
               trace::TraceBuffer::defaultMaxEvents);
     EXPECT_TRUE(params.wantTrace);
@@ -143,8 +163,8 @@ TEST(Args, EveryDocumentedInvocationPassesTheOptionCheck)
     checkOptions("xser", {"campaign", "--scale", "0.005", "--replicates",
                           "2", "--jobs", "4", "--seed", "7", "--quiet",
                           "--metrics", "m.json", "--trace", "t.xtrace",
-                          "--fastpath", "off", "--progress", "--csv",
-                          "c.csv", "--trace-buffer-events", "100"});
+                          "--progress", "--csv", "c.csv",
+                          "--trace-buffer-events", "100"});
     checkOptions("xser", {"session", "--pmd", "920", "--events", "2",
                           "--fluence", "2e9", "--warmup", "1", "--trace",
                           "s.xtrace", "--metrics", "s.json"});
@@ -162,8 +182,38 @@ TEST(Args, EveryDocumentedInvocationPassesTheOptionCheck)
                                  "0.005", "--replicates", "2", "--seed",
                                  "7", "--trace", "t.xtrace", "--metrics",
                                  "m.json"});
+    checkOptions("xser-client", {"run", "--port", "5000", "--detach"});
     checkOptions("xser-client", {"attach", "--port", "5000", "--id", "3"});
     checkOptions("xser-client", {"shutdown", "--port", "5000"});
+    checkOptions("xser-trace", {"summarize", "--in", "s.xtrace"});
+    checkOptions("xser-trace", {"filter", "--in", "s.xtrace", "--type",
+                                "Injection", "--limit", "5"});
+    checkOptions("xser-trace", {"hist", "--in", "s.xtrace", "--metric",
+                                "burst"});
+    checkOptions("xser-trace", {"to-csv", "--in", "s.xtrace"});
+    checkOptions("xser-trace", {"diff", "--a", "a.xtrace", "--b",
+                                "b.xtrace"});
+    checkOptions("xser-metrics", {"diff", "--a", "a.json", "--b",
+                                  "b.json"});
+    checkOptions("xser-metrics", {"summarize", "--in", "m.json"});
+    checkOptions("xser-metrics", {"to-csv", "--in", "m.json"});
+}
+
+TEST(Args, VetCommandLineAnswersHelpAndUnknownCommands)
+{
+    // Help and usage errors exit before any work; a known command runs.
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(cli::vetCommandLine(parse({"--help"}), "xser"), 0);
+    EXPECT_EQ(cli::vetCommandLine(parse({"help"}), "xser-trace"), 0);
+    EXPECT_EQ(cli::vetCommandLine(parse({"bogus"}), "xser"), 2);
+    EXPECT_EQ(cli::vetCommandLine(parse({}), "xser-metrics"), 2);
+    EXPECT_EQ(cli::vetCommandLine(parse({"run"}), "xser-server"), 2);
+    const std::string help = testing::internal::GetCapturedStdout();
+    EXPECT_NE(help.find("xser spec: "), std::string::npos);
+    EXPECT_NE(help.find("  --in FILE "), std::string::npos);
+    EXPECT_EQ(cli::vetCommandLine(parse({"spec"}), "xser"), -1);
+    EXPECT_EQ(cli::vetCommandLine(parse({"--port", "0"}), "xser-server"),
+              -1);
 }
 
 TEST(ArgsDeath, UnknownOptionsAreRefusedByName)
@@ -186,6 +236,44 @@ TEST(ArgsDeath, UnknownOptionsAreRefusedByName)
                                              "2"}),
                 ::testing::ExitedWithCode(1),
                 "unknown option --scale for xser-client shutdown");
+    // The analysis tools: a typo must not widen a filter to every
+    // event or turn a timing-aware diff into a timing-blind one.
+    EXPECT_EXIT(checkOptions("xser-trace", {"filter", "--in", "s.xtrace",
+                                            "--sesion", "5"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --sesion for xser-trace filter");
+    EXPECT_EXIT(checkOptions("xser-metrics", {"diff", "--a", "a.json",
+                                              "--b", "b.json", "--al"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --al for xser-metrics diff");
+}
+
+TEST(ArgsDeath, DeletedOptionsAreRefusedByName)
+{
+    // The reference paths are a library setting for tests, not a
+    // second way to run a campaign; shards are one unit each; and the
+    // service peers share their liveness timings as constants.
+    EXPECT_EXIT(checkOptions("xser", {"campaign", "--fastpath", "off"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --fastpath for xser campaign");
+    EXPECT_EXIT(checkOptions("xser", {"session", "--pmd", "920",
+                                      "--fastpath", "on"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --fastpath for xser session");
+    EXPECT_EXIT(checkOptions("xser-client", {"run", "--port", "1",
+                                             "--fastpath", "off"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --fastpath for xser-client run");
+    EXPECT_EXIT(checkOptions("xser-server", {"--shard-replicates", "2"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --shard-replicates for xser-server");
+    EXPECT_EXIT(checkOptions("xser-server", {"--idle-timeout", "5"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --idle-timeout for xser-server");
+    EXPECT_EXIT(checkOptions("xser-worker", {"--port", "1", "--heartbeat",
+                                             "1"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option --heartbeat for xser-worker");
 }
 
 TEST(ArgsDeath, CampaignRefusesTheCheckpointOption)
@@ -215,13 +303,34 @@ TEST(ArgsDeath, SessionRefusesAnEmptyStopTarget)
                     parse({"session", "--pmd", "920", "--events", "0"})),
                 ::testing::ExitedWithCode(1),
                 "option --events expects a count");
-    for (const char *fluence : {"0", "-1", "nan", "inf"}) {
+    for (const char *fluence : {"0", "-1"}) {
         SCOPED_TRACE(fluence);
         EXPECT_EXIT(cli::sessionConfig(parse(
                         {"session", "--pmd", "920", "--fluence", fluence})),
                     ::testing::ExitedWithCode(1),
                     "option --fluence expects a positive, finite number");
     }
+    // Args::getDouble refuses the non-finite ones before the range check.
+    for (const char *fluence : {"nan", "inf"}) {
+        SCOPED_TRACE(fluence);
+        EXPECT_EXIT(cli::sessionConfig(parse(
+                        {"session", "--pmd", "920", "--fluence", fluence})),
+                    ::testing::ExitedWithCode(1),
+                    "option --fluence expects a finite number");
+    }
+}
+
+TEST(ArgsDeath, SessionRefusesAWarmupBeyondUnsigned)
+{
+    // 2^32 must be refused, not truncated to zero warm-up rounds.
+    EXPECT_EQ(cli::sessionConfig(parse({"session", "--pmd", "920",
+                                        "--warmup", "4294967295"}))
+                  .warmupRounds,
+              4294967295u);
+    EXPECT_EXIT(cli::sessionConfig(parse({"session", "--pmd", "920",
+                                          "--warmup", "4294967296"})),
+                ::testing::ExitedWithCode(1),
+                "option --warmup expects a count");
 }
 
 /* ------------------------------ CSV ------------------------------ */

@@ -175,32 +175,26 @@ TEST(ServiceCodec, ShardResultRoundTrips)
     ASSERT_TRUE(service::decode(payload, decoded, error)) << error;
     EXPECT_EQ(decoded.campaignId, original.campaignId);
     EXPECT_EQ(decoded.session, original.session);
-    EXPECT_EQ(decoded.replicateBegin, original.replicateBegin);
-    EXPECT_EQ(decoded.replicateEnd, original.replicateEnd);
+    EXPECT_EQ(decoded.replicate, original.replicate);
     EXPECT_EQ(decoded.prefixTelemetry, original.prefixTelemetry);
     EXPECT_EQ(decoded.shardTelemetry, original.shardTelemetry);
-    ASSERT_EQ(decoded.units.size(), original.units.size());
-    for (size_t i = 0; i < decoded.units.size(); ++i) {
-        const core::SessionResult &a = decoded.units[i].result;
-        const core::SessionResult &b = original.units[i].result;
-        EXPECT_EQ(decoded.units[i].replicate,
-                  original.units[i].replicate);
-        EXPECT_EQ(decoded.units[i].traceBytes,
-                  original.units[i].traceBytes);
-        EXPECT_EQ(a.point.name, b.point.name);
-        EXPECT_EQ(a.point.pmdMillivolts, b.point.pmdMillivolts);
-        EXPECT_EQ(a.runs, b.runs);
-        EXPECT_EQ(a.fluence, b.fluence);
-        EXPECT_EQ(a.duration, b.duration);
-        EXPECT_EQ(a.events.total(), b.events.total());
-        EXPECT_EQ(a.edac[0].corrected, b.edac[0].corrected);
-        EXPECT_EQ(a.upsetsDetected, b.upsetsDetected);
-        EXPECT_EQ(a.avgPowerWatts, b.avgPowerWatts);
-        ASSERT_EQ(a.perWorkload.size(), b.perWorkload.size());
-        EXPECT_EQ(a.perWorkload[0].name, b.perWorkload[0].name);
-        EXPECT_EQ(a.perWorkload[0].upsetsDetected,
-                  b.perWorkload[0].upsetsDetected);
-    }
+    EXPECT_EQ(decoded.unit.traceEventCount, original.unit.traceEventCount);
+    EXPECT_EQ(decoded.unit.traceBytes, original.unit.traceBytes);
+    const core::SessionResult &a = decoded.unit.result;
+    const core::SessionResult &b = original.unit.result;
+    EXPECT_EQ(a.point.name, b.point.name);
+    EXPECT_EQ(a.point.pmdMillivolts, b.point.pmdMillivolts);
+    EXPECT_EQ(a.runs, b.runs);
+    EXPECT_EQ(a.fluence, b.fluence);
+    EXPECT_EQ(a.duration, b.duration);
+    EXPECT_EQ(a.events.total(), b.events.total());
+    EXPECT_EQ(a.edac[0].corrected, b.edac[0].corrected);
+    EXPECT_EQ(a.upsetsDetected, b.upsetsDetected);
+    EXPECT_EQ(a.avgPowerWatts, b.avgPowerWatts);
+    ASSERT_EQ(a.perWorkload.size(), b.perWorkload.size());
+    EXPECT_EQ(a.perWorkload[0].name, b.perWorkload[0].name);
+    EXPECT_EQ(a.perWorkload[0].upsetsDetected,
+              b.perWorkload[0].upsetsDetected);
 }
 
 TEST(ServiceCodec, EveryShardResultTruncationFailsCleanly)
@@ -232,7 +226,6 @@ TEST(ServiceCodec, EverySubmitTruncationFailsCleanly)
     ASSERT_TRUE(service::decode(payload, decoded, error)) << error;
     EXPECT_EQ(decoded.params.seed, submit.params.seed);
     EXPECT_EQ(decoded.params.replicates, submit.params.replicates);
-    EXPECT_EQ(decoded.params.fastpath, submit.params.fastpath);
     EXPECT_EQ(decoded.tracePath, submit.tracePath);
 }
 
@@ -242,8 +235,7 @@ TEST(ServiceCodec, EveryShardAssignBitFlipNeverCrashes)
     assign.campaignId = 5;
     assign.params = sampleParams();
     assign.session = 1;
-    assign.replicateBegin = 0;
-    assign.replicateEnd = 2;
+    assign.replicate = 2;
     const std::string payload = service::encode(assign);
     for (size_t bit = 0; bit < payload.size() * 8; ++bit) {
         std::string flipped = payload;
@@ -271,15 +263,15 @@ TEST(ServiceCodec, RejectsDegenerateCoordinates)
         service::decode(service::encode(zero_reps), decoded, error));
     EXPECT_FALSE(error.empty());
 
-    service::ShardAssignMsg empty_range;
-    empty_range.params = sampleParams();
-    empty_range.replicateBegin = 3;
-    empty_range.replicateEnd = 3;
+    service::ShardAssignMsg past_end;
+    past_end.params = sampleParams();
+    past_end.replicate = past_end.params.replicates;
     service::ShardAssignMsg assign_out;
     error.clear();
-    EXPECT_FALSE(service::decode(service::encode(empty_range),
-                                 assign_out, error));
-    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(service::decode(service::encode(past_end), assign_out,
+                                 error));
+    EXPECT_NE(error.find("replicate out of range"), std::string::npos)
+        << error;
 
     // Parameters no campaign can be built from: a scale that is zero,
     // NaN, negative, infinite, or big enough to overflow the event
@@ -317,7 +309,6 @@ TEST(ServiceCodec, RejectsDegenerateCoordinates)
 
         service::ShardAssignMsg assign;
         assign.params = params;
-        assign.replicateEnd = 1;
         error.clear();
         EXPECT_FALSE(
             service::decode(service::encode(assign), assign_out, error));

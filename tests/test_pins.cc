@@ -71,7 +71,7 @@ TEST(BytePins, ServiceMessages)
                   service::HelloMsg{service::PeerRole::Worker})),
               0xaf63bc4c8601b62cULL);
     EXPECT_EQ(digest(encodeMessage(samples::sampleSubmit())),
-              0xeb3f82395a289e8cULL);
+              0x6bc28ed3823d44b6ULL);
     EXPECT_EQ(digest(encodeMessage(service::AcceptedMsg{41, 96})),
               0x6f5aa2939dabd26cULL);
     EXPECT_EQ(digest(encodeMessage(service::AttachMsg{41})),
@@ -79,9 +79,9 @@ TEST(BytePins, ServiceMessages)
     EXPECT_EQ(digest(encodeMessage(service::ProgressMsg{41, 17, 96})),
               0xd9ab0c6c23341ffdULL);
     EXPECT_EQ(digest(encodeMessage(samples::sampleShardAssign())),
-              0x5b75ec8b5660a239ULL);
+              0x18572a9ec2f48785ULL);
     EXPECT_EQ(digest(encodeMessage(samples::sampleShardResult())),
-              0xe3e59944b758c0e6ULL);
+              0x43d6be7144e7b242ULL);
     EXPECT_EQ(digest(encodeMessage(
                   service::CampaignDoneMsg{41, false, "worker lost"})),
               0xa4b507e2132ed46dULL);
@@ -98,7 +98,7 @@ TEST(BytePins, ServiceMessages)
 TEST(BytePins, NetFrame)
 {
     EXPECT_EQ(digest(net::encodeFrame(7, "the quick brown payload")),
-              0x79d9e5335b289febULL);
+              0x9d3bb131e867b1d4ULL);
 }
 
 TEST(BytePins, CheckpointEnvelope)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -438,6 +439,23 @@ TEST(SimClock, TickConversions)
     EXPECT_EQ(ticks::fromSeconds(1.0), ticks::perSecond);
     EXPECT_DOUBLE_EQ(ticks::toSeconds(ticks::perSecond), 1.0);
     EXPECT_DOUBLE_EQ(ticks::toMinutes(60 * ticks::perSecond), 1.0);
+}
+
+TEST(SimClockDeath, RefusesFrequenciesWithoutAPeriod)
+{
+    // NaN must not reach periodFromFrequency's integer cast, and a
+    // period below one tick would round to zero.
+    EXPECT_EXIT(SimClock(std::nan("")), ::testing::ExitedWithCode(1),
+                "clock frequency must be positive, got nan");
+    EXPECT_EXIT(SimClock(-1.0), ::testing::ExitedWithCode(1),
+                "clock frequency must be positive");
+    for (const double hz :
+         {std::numeric_limits<double>::infinity(), 1e300, 3e12}) {
+        SCOPED_TRACE(hz);
+        EXPECT_EXIT(SimClock clock(2.4e9); clock.setFrequency(hz),
+                    ::testing::ExitedWithCode(1),
+                    "Hz has a period below the 1 ps tick resolution");
+    }
 }
 
 } // namespace

@@ -14,9 +14,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/beam_campaign.hh"
+#include "core/campaign_report.hh"
 #include "core/parallel_campaign.hh"
 #include "core/test_session.hh"
 #include "cpu/xgene2_platform.hh"
@@ -366,6 +368,47 @@ TEST(ParallelTraceDeterminism, ByteIdenticalWithFastPathOff)
     const std::string fast_off = readFileBytes(path);
     ASSERT_FALSE(fast_off.empty());
     EXPECT_EQ(fast_off, campaignTraceBytes(1));
+}
+
+/**
+ * The report `xser campaign --scale 0.005 --seed 7 --jobs 4 --trace
+ * fp.xtrace` prints and the trace bytes it writes, with every fast
+ * path of the campaign on (the default) or off (the reference paths).
+ */
+std::pair<std::string, std::string>
+paperCampaignArtifacts(bool fast_path)
+{
+    core::CampaignParams params;
+    params.scale = 0.005;
+    params.seed = 7;
+    params.traceBufferEvents = TraceBuffer::defaultMaxEvents;
+    params.wantTrace = true;
+    core::CampaignConfig config = core::buildCampaign(params);
+    params.configHash = core::campaignConfigHash(config);
+    core::setFastPath(config, fast_path);
+    core::ParallelRunConfig run;
+    run.jobs = 4;
+    run.seed = params.seed;
+    const std::string path = testing::TempDir() +
+                             (fast_path ? "fp-on.xtrace" : "fp-off.xtrace");
+    trace::TraceWriter writer(path);
+    core::ParallelCampaignRunner runner(config, run);
+    const core::ReplicatedCampaignResult sweep = runner.executeAll(&writer);
+    return {core::renderCampaignReport(params, "fp.xtrace", sweep),
+            readFileBytes(path)};
+}
+
+TEST(ParallelTraceDeterminism, PaperCampaignSameReportAndTraceFastPathOff)
+{
+    // The paper campaign at the scale users smoke-run, end to end
+    // through the pool, the merge and the report renderer: the
+    // reference paths must print the same report and write the same
+    // trace bytes as the fast path.
+    const auto reference = paperCampaignArtifacts(false);
+    const auto fast = paperCampaignArtifacts(true);
+    ASSERT_FALSE(fast.second.empty());
+    EXPECT_EQ(reference.first, fast.first);
+    EXPECT_EQ(reference.second, fast.second);
 }
 
 TEST(TraceEdacCrossCheck, SessionCountersMatchTheTrace)

@@ -1,10 +1,7 @@
 /**
  * @file
  * xser-metrics: inspect and compare run manifests (--metrics output).
- *
- *   xser-metrics summarize --in run.json
- *   xser-metrics diff      --a one.json --b two.json [--all]
- *   xser-metrics to-csv    --in run.json
+ * `xser-metrics --help` lists the commands and their options.
  *
  * `diff` skips the wall-clock "timing" section unless --all is given,
  * so two runs of the same experiment -- at any --jobs -- exit 0.
@@ -23,30 +20,6 @@
 namespace {
 
 using namespace xser;
-
-void
-printUsage()
-{
-    std::printf(
-        "usage: xser-metrics <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  summarize  run provenance, counters, headline, timing\n"
-        "               --in FILE\n"
-        "  diff       structural comparison; exit 1 when different\n"
-        "               --a FILE --b FILE [--all: include the\n"
-        "               wall-clock 'timing' section, which differs\n"
-        "               between any two real runs]\n"
-        "  to-csv     flat path,value CSV of every scalar on stdout\n"
-        "               --in FILE\n");
-}
-
-int
-usage()
-{
-    printUsage();
-    return 2;
-}
 
 /** Load a manifest or die with its decode error. */
 metricstool::ManifestFile
@@ -80,13 +53,10 @@ int
 main(int argc, char **argv)
 {
     const cli::Args args = cli::Args::parse(argc, argv);
+    if (const int status = cli::vetCommandLine(args, "xser-metrics");
+        status >= 0)
+        return status;
     const std::string &command = args.command();
-    // `--help` parses as an option (no command), `help`/`-h` as a
-    // command; all three print the usage text and exit 0.
-    if (command == "help" || command == "-h" || args.has("help")) {
-        printUsage();
-        return 0;
-    }
     if (command == "summarize") {
         std::printf("%s",
                     metricstool::summarize(load(args, "in")).c_str());
@@ -99,5 +69,6 @@ main(int argc, char **argv)
                     metricstool::toCsv(load(args, "in")).c_str());
         return 0;
     }
-    return usage();
+    cli::printHelp("xser-metrics");
+    return 2;
 }

@@ -1,14 +1,7 @@
 /**
  * @file
  * xser-trace: inspect and compare .xtrace lifecycle trace files.
- *
- *   xser-trace summarize --in run.xtrace
- *   xser-trace filter    --in run.xtrace [--session N] [--replicate N]
- *                        [--array NAME] [--type Injection]
- *                        [--outcome SDC] [--voltage MV] [--limit N]
- *   xser-trace hist      --in run.xtrace --metric latency|burst
- *   xser-trace to-csv    --in run.xtrace
- *   xser-trace diff      --a one.xtrace --b two.xtrace
+ * `xser-trace --help` lists the commands and their options.
  *
  * Exit status: 0 on success, 1 on an unreadable/corrupt trace or a
  * diff mismatch, 2 on usage errors.
@@ -24,34 +17,6 @@
 namespace {
 
 using namespace xser;
-
-void
-printUsage()
-{
-    std::printf(
-        "usage: xser-trace <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  summarize  header, per-type totals, per-unit table\n"
-        "               --in FILE\n"
-        "  filter     print matching events\n"
-        "               --in FILE [--session N] [--replicate N]\n"
-        "               [--array NAME] [--type TYPE] [--outcome NAME]\n"
-        "               [--voltage MV] [--limit N]\n"
-        "  hist       event-gap or burst-size histogram\n"
-        "               --in FILE --metric latency|burst\n"
-        "  to-csv     flat CSV of every event on stdout\n"
-        "               --in FILE\n"
-        "  diff       structural comparison; exit 1 when different\n"
-        "               --a FILE --b FILE\n");
-}
-
-int
-usage()
-{
-    printUsage();
-    return 2;
-}
 
 /** Load a trace or die with its decode error. */
 trace::TraceFile
@@ -69,17 +34,16 @@ load(const cli::Args &args, const std::string &key)
 int
 cmdFilter(const cli::Args &args)
 {
-    const trace::TraceFile file = load(args, "in");
     tracetool::FilterSpec spec;
     if (args.has("session")) {
         spec.hasSession = true;
-        spec.session =
-            static_cast<uint32_t>(args.getUint("session", 0));
+        spec.session = static_cast<uint32_t>(
+            args.getCount("session", 0, 0, UINT32_MAX));
     }
     if (args.has("replicate")) {
         spec.hasReplicate = true;
-        spec.replicate =
-            static_cast<uint32_t>(args.getUint("replicate", 0));
+        spec.replicate = static_cast<uint32_t>(
+            args.getCount("replicate", 0, 0, UINT32_MAX));
     }
     spec.array = args.get("array", "");
     if (args.has("type")) {
@@ -95,7 +59,8 @@ cmdFilter(const cli::Args &args)
     }
     spec.limit = args.getCount("limit", spec.limit, 1,
                                uint64_t(1) << 32);
-    std::printf("%s", tracetool::filterEvents(file, spec).c_str());
+    std::printf("%s",
+                tracetool::filterEvents(load(args, "in"), spec).c_str());
     return 0;
 }
 
@@ -115,13 +80,10 @@ int
 main(int argc, char **argv)
 {
     const cli::Args args = cli::Args::parse(argc, argv);
+    if (const int status = cli::vetCommandLine(args, "xser-trace");
+        status >= 0)
+        return status;
     const std::string &command = args.command();
-    // `--help` parses as an option (no command), `help`/`-h` as a
-    // command; all three print the usage text and exit 0.
-    if (command == "help" || command == "-h" || args.has("help")) {
-        printUsage();
-        return 0;
-    }
     if (command == "summarize") {
         std::printf("%s",
                     tracetool::summarize(load(args, "in")).c_str());
@@ -142,5 +104,6 @@ main(int argc, char **argv)
     }
     if (command == "diff")
         return cmdDiff(args);
-    return usage();
+    cli::printHelp("xser-trace");
+    return 2;
 }
