@@ -105,7 +105,7 @@ constexpr Option avfOptions[] = {
     {"workload", "NAME", "workload whose arrays take the flips"},
     {"trials", "N", "injection trials per cache level"},
     {"flips", "K", "bit flips per trial"},
-    {"burst", "SIZE", "adjacent bits per flip (multi-bit upsets)"},
+    {"burst", "SIZE", "adjacent bits per flip, 1-64 (multi-bit upsets)"},
     seedOption,
     quietOption,
 };

@@ -221,8 +221,8 @@ cmdAvf(const cli::Args &args)
         static_cast<unsigned>(args.getCount("trials", 40, 1, maxUnsigned));
     config.flipsPerTrial =
         static_cast<unsigned>(args.getCount("flips", 48, 1, maxUnsigned));
-    config.burstSize =
-        static_cast<unsigned>(args.getCount("burst", 1, 0, maxUnsigned));
+    config.burstSize = static_cast<unsigned>(
+        args.getCount("burst", 1, 1, inject::maxBurstSize));
     config.seed = args.getUint("seed", 0xa7fULL);
     inject::AvfEstimator estimator(config);
     rad::CrossSectionModel xsection;

@@ -23,6 +23,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cpu/xgene2_platform.hh"
 #include "rad/cross_section_model.hh"
@@ -46,19 +47,37 @@ struct AvfConfig {
     unsigned trials = 60;
     unsigned flipsPerTrial = 48;
     /**
-     * Cluster size per injection: 1 = independent single flips (the
-     * ECC-protected arrays show ~zero AVF, the paper's Design
-     * Implication #1); >= 2 studies the MBU channel that defeats
-     * SECDED in non-interleaved arrays (Section 6.2).
+     * Cluster size per injection, in [1, maxBurstSize]: 1 =
+     * independent single flips (the ECC-protected arrays show ~zero
+     * AVF, the paper's Design Implication #1); >= 2 studies the MBU
+     * channel that defeats SECDED in non-interleaved arrays (Section
+     * 6.2).
      */
     unsigned burstSize = 1;
     uint64_t seed = 0xa7fULL;
 };
 
 /**
- * Runs the injection campaign for one structure class. Each estimator
- * owns a fresh platform; corrupted trials rebuild the workload state
- * so trials stay independent.
+ * Widest burst: one stored word of the narrowest array (a burst wider
+ * than its word would flip bits back).
+ */
+constexpr unsigned maxBurstSize = 64;
+
+/**
+ * Per-flip corruption probability from a trial outcome: with p =
+ * corrupted / trials and k flips per trial, a = 1 - (1 - p)^(1/k). A
+ * saturated estimate (every trial corrupted) has no finite inversion;
+ * it reports the Jeffreys-adjusted bound p = 1 - 0.5 / trials instead.
+ */
+double perFlipAvf(unsigned corrupted, unsigned trials,
+                  unsigned flips_per_trial);
+
+/**
+ * Runs the injection campaign for one structure class on one platform,
+ * built once: construct, set up the workload, record its golden run,
+ * and keep the post-run state as an in-memory snapshot. Corruption can
+ * linger in cached state, so every corrupting trial is followed by
+ * rebuild(), an in-place load of that snapshot (DESIGN.md section 10).
  */
 class AvfEstimator
 {
@@ -67,6 +86,19 @@ class AvfEstimator
 
     /** Estimate the AVF of one cache level's arrays. */
     AvfResult estimate(mem::CacheLevel level);
+
+    /**
+     * Return the platform and workload to the golden post-run state:
+     * clear the EDAC reporter (the only platform state off the
+     * visit() walk) and load the snapshot in place.
+     */
+    void rebuild();
+
+    /** The platform trials run on. */
+    cpu::XGene2Platform &platform() { return *platform_; }
+
+    /** The workload trials run. */
+    workloads::Workload &workload() { return *workload_; }
 
     /**
      * Project a structure's FIT at a supply voltage from an AVF
@@ -82,14 +114,13 @@ class AvfEstimator
                       double volts, double flux_per_hour = 13.0) const;
 
   private:
-    /** (Re)build platform, workload, and golden reference. */
-    void rebuild();
-
     AvfConfig config_;
     std::unique_ptr<cpu::XGene2Platform> platform_;
     std::unique_ptr<workloads::Workload> workload_;
     std::vector<uint64_t> golden_;
-    uint64_t rebuildCount_ = 0;
+    std::string goldenState_;  ///< platform + workload after golden run
+    /** Builds plus rebuilds so far; mixed into the injector seeds. */
+    uint64_t rebuildCount_ = 1;
 };
 
 } // namespace xser::inject

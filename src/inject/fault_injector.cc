@@ -73,6 +73,8 @@ FaultInjector::injectRandomBurst(unsigned size)
     XSER_ASSERT(size >= 1, "burst needs at least one bit");
     FaultSite first = siteAt(rng_.nextBounded(footprintBits_));
     mem::SramArray &array = *targets_[first.targetIndex].array;
+    // Wider, the wrap below would flip some bits back.
+    XSER_ASSERT(size <= array.bitsPerWord(), "burst wider than its word");
     array.noteUpsetEvent();
     if (trace::TraceSink *sink = array.traceSink()) {
         // A burst is one upset event: one record, aux = burst size.

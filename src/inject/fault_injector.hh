@@ -46,7 +46,10 @@ class FaultInjector
      */
     FaultSite injectRandom();
 
-    /** Flip a cluster of `size` adjacent bits within one random word. */
+    /**
+     * Flip a cluster of `size` adjacent bits within one random word
+     * (wrapping past its top bit); `size` must not exceed the word.
+     */
     FaultSite injectRandomBurst(unsigned size);
 
     /** All sites injected so far, in order (replay log). */

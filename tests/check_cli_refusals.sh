@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Command lines the binaries must refuse before doing any work: each
 # must exit 1 with a message naming the offending option. Covers counts
-# that would otherwise narrow into a smaller integer, numbers that are
-# not finite or have no clock period, and a detached client run asked
-# for files it would never write.
+# that would otherwise narrow into a smaller integer, an AVF burst that
+# is empty or wider than a stored word, numbers that are not finite or
+# have no clock period, and a detached client run asked for files it
+# would never write.
 #
 #   check_cli_refusals.sh XSER XSER_SERVER XSER_WORKER XSER_CLIENT \
 #                         XSER_TRACE
@@ -43,6 +44,10 @@ refuse "option --flips expects a count" \
     "$XSER" avf --workload EP --trials 2 --flips "$TOO_BIG"
 refuse "option --burst expects a count" \
     "$XSER" avf --workload EP --trials 2 --flips 2 --burst "$TOO_BIG"
+refuse "option --burst expects a count in [1, 64], got 0" \
+    "$XSER" avf --workload EP --trials 2 --flips 2 --burst 0
+refuse "option --burst expects a count in [1, 64], got 144" \
+    "$XSER" avf --workload EP --trials 2 --flips 2 --burst 144
 refuse "option --runs expects a count" \
     "$XSER" characterize --runs "$TOO_BIG" --start 960 --stop 955
 refuse "option --warmup expects a count" \

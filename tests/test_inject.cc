@@ -97,6 +97,16 @@ TEST(FaultInjector, BurstStaysWithinOneWord)
         EXPECT_EQ(site.word, first.word);
 }
 
+TEST(FaultInjectorDeath, BurstWiderThanItsWordIsRefused)
+{
+    // Every array here stores 65 (parity) or 72 (SECDED) bits a word;
+    // a 73-bit burst would wrap and flip a bit back.
+    mem::EdacReporter reporter;
+    mem::MemorySystem memory(tinyConfig(), &reporter);
+    FaultInjector injector(memory.beamTargets(), 5);
+    EXPECT_DEATH(injector.injectRandomBurst(73), "burst wider than its word");
+}
+
 TEST(FaultInjector, ReplayReproducesState)
 {
     mem::EdacReporter reporter1;

@@ -8,10 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/tradeoff.hh"
 #include "inject/avf_estimator.hh"
+#include "inject/fault_injector.hh"
+#include "sim/bytes.hh"
 #include "volt/timing_model.hh"
+#include "workloads/workload.hh"
 
 namespace xser::core {
 namespace {
@@ -219,16 +224,140 @@ TEST(AvfEstimator, BurstModeDefeatsSecdedInL3)
 
 TEST(AvfEstimator, InversionMath)
 {
-    // a = 1 - (1-p)^(1/k): with p = 0.5, k = 8 -> a = 0.0830.
-    inject::AvfResult result;
-    result.trials = 100;
-    result.corruptedTrials = 50;
-    result.flipsPerTrial = 8;
-    // Exercise through the public path: construct a synthetic result
-    // the way estimate() computes it.
-    const double p = 0.5;
-    const double a = 1.0 - std::pow(1.0 - p, 1.0 / 8.0);
-    EXPECT_NEAR(a, 0.0830, 1e-3);
+    // a = 1 - (1 - p)^(1/k), the function estimate() reports.
+    // p = 50/100, k = 8: a = 1 - 0.5^(1/8) = 0.0829960.
+    EXPECT_NEAR(inject::perFlipAvf(50, 100, 8), 0.0829960, 1e-7);
+    EXPECT_EQ(inject::perFlipAvf(0, 10, 4), 0.0);
+    // Saturated: p = 1 has no finite inversion, so the Jeffreys bound
+    // p = 1 - 0.5 / trials stands in. 10/10, k = 4: p = 0.95 and
+    // a = 1 - 0.05^(1/4) = 0.5271292; 20/20, k = 1: a = p = 0.975.
+    EXPECT_NEAR(inject::perFlipAvf(10, 10, 4), 0.5271292, 1e-7);
+    EXPECT_NEAR(inject::perFlipAvf(20, 20, 1), 0.975, 1e-12);
+}
+
+TEST(AvfEstimator, BenchmarkShapeResultsArePinned)
+{
+    // `xser avf --workload MG --trials 15 --flips 48 --burst 3 --seed
+    // 7`, the e2ebench avf_inject shape. Each of the 12 corrupting L3
+    // trials restores the golden state and bumps the count that later
+    // trials mix into their seeds.
+    inject::AvfConfig config;
+    config.workloadName = "MG";
+    config.trials = 15;
+    config.flipsPerTrial = 48;
+    config.burstSize = 3;
+    config.seed = 7;
+    inject::AvfEstimator estimator(config);
+    std::vector<unsigned> corrupted;
+    for (const auto level : {mem::CacheLevel::Tlb, mem::CacheLevel::L1,
+                             mem::CacheLevel::L2, mem::CacheLevel::L3}) {
+        const inject::AvfResult result = estimator.estimate(level);
+        EXPECT_EQ(result.trials, 15u);
+        corrupted.push_back(result.corruptedTrials);
+    }
+    EXPECT_EQ(corrupted, (std::vector<unsigned>{0, 0, 0, 12}));
+}
+
+/** One cache level's arrays. */
+std::vector<mem::BeamTarget>
+targetsAt(mem::MemorySystem &memory, mem::CacheLevel level)
+{
+    std::vector<mem::BeamTarget> targets;
+    for (const auto &target : memory.beamTargets()) {
+        if (target.level == level)
+            targets.push_back(target);
+    }
+    return targets;
+}
+
+/** The bytes the visit() walk saves for a platform and its workload. */
+std::string
+savedState(cpu::XGene2Platform &platform, workloads::Workload &workload)
+{
+    ByteWriter writer;
+    Archive archive(writer);
+    platform.visit(archive);
+    workload.visit(archive, platform.memory());
+    return writer.take();
+}
+
+TEST(AvfEstimator, RebuildRestoresTheGoldenStateInPlace)
+{
+    // A from-scratch build: construct, set up, golden run.
+    cpu::XGene2Platform fresh;
+    const auto fresh_workload = workloads::makeWorkload("EP");
+    workloads::RunContext fresh_ctx(&fresh.memory(),
+                                    workloads::RunContext::QuantumHook(),
+                                    1u << 20);
+    fresh_workload->setUp(fresh_ctx);
+    fresh_workload->run(fresh_ctx);
+    const std::string golden = savedState(fresh, *fresh_workload);
+
+    inject::AvfConfig config;
+    config.workloadName = "EP";
+    inject::AvfEstimator estimator(config);
+    cpu::XGene2Platform &platform = estimator.platform();
+    mem::MemorySystem &memory = platform.memory();
+    ASSERT_TRUE(savedState(platform, estimator.workload()) == golden);
+
+    // What a corrupting trial leaves behind: single flips and double
+    // bursts in L2 and L3, a dirty line on a DRAM page nothing touched
+    // before, and a run that reads flips back (CE and UE events).
+    for (const auto level : {mem::CacheLevel::L2, mem::CacheLevel::L3}) {
+        inject::FaultInjector injector(targetsAt(memory, level), 0x5eedULL);
+        for (int i = 0; i < 64; ++i) {
+            injector.injectRandom();
+            injector.injectRandomBurst(2);
+        }
+    }
+    const mem::Addr stray = memory.allocate(8192, "stray") + 8192 - 8;
+    memory.writeWord(0, stray, 0x5eedULL);
+    workloads::RunContext ctx(&memory, workloads::RunContext::QuantumHook(),
+                              1u << 20);
+    estimator.workload().run(ctx);
+    ASSERT_GT(platform.edac().totalCorrected(), 0u);
+    ASSERT_GT(platform.edac().totalUncorrected(), 0u);
+    ASSERT_FALSE(savedState(platform, estimator.workload()) == golden);
+
+    estimator.rebuild();
+    EXPECT_TRUE(savedState(platform, estimator.workload()) == golden);
+    EXPECT_EQ(platform.edac().totalUpsets(), 0u);
+
+    // State off the saved bytes (the residency filters, the EDAC
+    // reporter) must match too: one more identical trial on both
+    // leaves the same output, tallies and bytes.
+    const auto trial = [](cpu::XGene2Platform &target,
+                          workloads::Workload &workload) {
+        inject::FaultInjector injector(
+            targetsAt(target.memory(), mem::CacheLevel::L3), 0xb0057ULL);
+        for (int i = 0; i < 64; ++i)
+            injector.injectRandomBurst(2);
+        workloads::RunContext trial_ctx(
+            &target.memory(), workloads::RunContext::QuantumHook(), 1u << 20);
+        return workload.run(trial_ctx).signature;
+    };
+    EXPECT_EQ(trial(platform, estimator.workload()),
+              trial(fresh, *fresh_workload));
+    EXPECT_EQ(platform.edac().totalCorrected(),
+              fresh.edac().totalCorrected());
+    EXPECT_EQ(platform.edac().totalUncorrected(),
+              fresh.edac().totalUncorrected());
+    EXPECT_TRUE(savedState(platform, estimator.workload()) ==
+                savedState(fresh, *fresh_workload));
+}
+
+TEST(AvfEstimatorDeath, BurstOutsideOneToSixtyFourIsRefused)
+{
+    // 0 would silently run single flips; a burst past a stored word
+    // would wrap and flip bits back.
+    for (const unsigned burst : {0u, 65u, 144u}) {
+        inject::AvfConfig config;
+        config.burstSize = burst;
+        EXPECT_EXIT(inject::AvfEstimator{config},
+                    ::testing::ExitedWithCode(1),
+                    "AVF burst size " + std::to_string(burst) +
+                        " is outside \\[1, 64\\]");
+    }
 }
 
 } // namespace
