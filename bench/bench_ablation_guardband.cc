@@ -19,9 +19,9 @@ int
 main()
 {
     using namespace xser;
-    bench::banner("Ablation: guardband ladder (2.4 GHz)");
 
     const double scale = bench::campaignScaleFromEnv(bench::defaultScale);
+    bench::banner("Ablation: guardband ladder (2.4 GHz)", scale);
 
     core::CampaignConfig ladder;
     for (double pmd = 980.0; pmd >= 920.0 - 0.5; pmd -= 10.0) {

@@ -27,9 +27,9 @@ int
 main()
 {
     using namespace xser;
-    bench::banner("Ablation: L2/L3 protection scheme (at Vmin)");
 
     const double scale = bench::campaignScaleFromEnv(bench::defaultScale);
+    bench::banner("Ablation: L2/L3 protection scheme (at Vmin)", scale);
     const AblationRow rows[] = {
         {"SECDED (X-Gene 2)", mem::Protection::Secded},
         {"parity-only", mem::Protection::Parity},

@@ -18,9 +18,9 @@ int
 main()
 {
     using namespace xser;
-    bench::banner("Ablation: patrol-scrub pacing (980 mV @ 2.4 GHz)");
 
     const double scale = bench::campaignScaleFromEnv(bench::defaultScale);
+    bench::banner("Ablation: patrol-scrub pacing (980 mV @ 2.4 GHz)", scale);
 
     struct Variant {
         std::string label;

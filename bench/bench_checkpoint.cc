@@ -73,10 +73,10 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : "BENCH_checkpoint.json";
     const double min_speedup = argc > 2 ? std::atof(argv[2]) : 0.0;
 
-    bench::banner("Checkpoint/fork throughput gate");
     // Small smoke scale by default: the point is the ratio and the
     // equivalence check, not statistics (XSER_SCALE raises it).
     const double scale = bench::campaignScaleFromEnv(0.02);
+    bench::banner("Checkpoint/fork throughput gate", scale);
 
     const core::CampaignConfig config = cliffSweep(scale);
     core::ParallelRunConfig run;

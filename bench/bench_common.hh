@@ -142,11 +142,17 @@ benchJobs()
     return hardware > 0 ? hardware : 1;
 }
 
-/** Banner with the scale in effect. */
+/** Title banner of a bench that runs no beam session. */
 inline void
 banner(const char *title)
 {
-    const double scale = campaignScaleFromEnv(defaultScale);
+    std::printf("=== %s ===\n\n", title);
+}
+
+/** Title banner naming the session scale the bench runs at. */
+inline void
+banner(const char *title, double scale)
+{
     std::printf("=== %s ===\n", title);
     std::printf("(session scale %g; XSER_FULL=1 for paper-scale "
                 "statistics; %u worker threads, XSER_JOBS to change)"

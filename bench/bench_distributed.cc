@@ -172,8 +172,8 @@ main(int argc, char **argv)
 {
     const std::string out_path =
         argc > 1 ? argv[1] : "BENCH_distributed.json";
-    bench::banner("Distributed shard throughput (server + workers)");
     const double scale = bench::campaignScaleFromEnv(0.005);
+    bench::banner("Distributed shard throughput (server + workers)", scale);
     const std::string bin = binDir(argv[0]);
 
     char workdir[] = "/tmp/xser-bench-distributed-XXXXXX";

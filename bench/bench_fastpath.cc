@@ -29,10 +29,10 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : "BENCH_fastpath.json";
     const double min_speedup = argc > 2 ? std::atof(argv[2]) : 0.0;
 
-    bench::banner("Fast-path throughput gate");
     // Small smoke scale by default: the point is the ratio and the
     // equivalence check, not statistics (XSER_SCALE raises it).
     const double scale = bench::campaignScaleFromEnv(0.02);
+    bench::banner("Fast-path throughput gate", scale);
 
     core::CampaignConfig config = core::BeamCampaign::paperCampaign(scale);
     core::ParallelRunConfig run;

@@ -179,7 +179,8 @@ printScorecard(const core::CampaignResult &campaign)
 int
 main()
 {
-    bench::banner("The paper: Tables 1-3, Figs. 4-13, baseline, scorecard");
+    bench::banner("The paper: Tables 1-3, Figs. 4-13, baseline, scorecard",
+                  bench::campaignScaleFromEnv(bench::defaultScale));
 
     cpu::XGene2Platform platform;
     printTable1(platform);

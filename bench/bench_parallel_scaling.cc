@@ -25,11 +25,11 @@ main(int argc, char **argv)
     using namespace xser;
     const std::string out_path =
         argc > 1 ? argv[1] : "BENCH_scaling.json";
-    bench::banner("Parallel scaling (4 sessions x 2 replicates)");
     // The scaling story needs units long enough to dwarf the pool
     // overhead but short enough for a quick sweep; 0.04 keeps the
     // 8-unit run in the minutes range on one worker.
     const double scale = bench::campaignScaleFromEnv(0.04);
+    bench::banner("Parallel scaling (4 sessions x 2 replicates)", scale);
     const core::CampaignConfig config =
         core::BeamCampaign::paperCampaign(scale);
 

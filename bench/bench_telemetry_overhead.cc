@@ -35,10 +35,10 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : "BENCH_telemetry.json";
     const double max_ratio = argc > 2 ? std::atof(argv[2]) : 0.0;
 
-    bench::banner("Telemetry overhead gate (metrics off vs on)");
     // Small smoke scale by default: the point is the ratio and the
     // bit-identity check, not statistics (XSER_SCALE raises it).
     const double scale = bench::campaignScaleFromEnv(0.02);
+    bench::banner("Telemetry overhead gate (metrics off vs on)", scale);
     const core::CampaignConfig config =
         core::BeamCampaign::paperCampaign(scale);
 

@@ -28,8 +28,9 @@ main(int argc, char **argv)
     using namespace xser;
     const std::string out_path =
         argc > 1 ? argv[1] : "BENCH_trace_overhead.json";
-    bench::banner("Trace subsystem overhead (off / buffered / written)");
     const double scale = bench::campaignScaleFromEnv(0.04);
+    bench::banner("Trace subsystem overhead (off / buffered / written)",
+                  scale);
     const core::CampaignConfig config =
         core::BeamCampaign::paperCampaign(scale);
     const char *trace_path = "bench_trace_overhead.xtrace";

@@ -15,7 +15,6 @@ namespace xser::core {
 namespace {
 
 constexpr std::string_view checkpointMagic("XSERCKPT", 8);
-constexpr size_t headerBytes = 36;
 
 } // namespace
 
@@ -41,9 +40,9 @@ CheckpointView
 openCheckpoint(std::string_view bytes)
 {
     CheckpointView view;
-    if (bytes.size() < headerBytes) {
+    if (bytes.size() < checkpointHeaderBytes) {
         view.error = msg("checkpoint too short: ", bytes.size(),
-                         " bytes, header needs ", headerBytes);
+                         " bytes, header needs ", checkpointHeaderBytes);
         return view;
     }
     ByteReader header(bytes);
@@ -66,7 +65,7 @@ openCheckpoint(std::string_view bytes)
                          header.remaining());
         return view;
     }
-    const std::string_view payload = bytes.substr(headerBytes);
+    const std::string_view payload = bytes.substr(checkpointHeaderBytes);
     const uint64_t actual = fnv1a(payload);
     if (actual != checksum) {
         view.error = msg("checkpoint payload checksum mismatch: "
@@ -75,8 +74,19 @@ openCheckpoint(std::string_view bytes)
     }
     view.ok = true;
     view.payload = payload;
-    view.envelopeBytes = bytes.size();
     return view;
+}
+
+Checkpoint::Checkpoint(std::string envelope, uint64_t key_hash)
+    : envelope_(std::move(envelope)), keyHash_(key_hash)
+{
+    const telemetry::ScopedPhase timer(telemetry::Phase::SnapshotRestore);
+    const CheckpointView view = openCheckpoint(envelope_);
+    if (!view.ok)
+        fatal(msg("refusing checkpoint: ", view.error));
+    if (view.keyHash != keyHash_)
+        fatal(msg("refusing checkpoint: prefix key hash ", view.keyHash,
+                  " is not the campaign's ", keyHash_));
 }
 
 } // namespace xser::core

@@ -12,17 +12,12 @@
  *     bytes 12-19  prefix key hash (u64)
  *     bytes 20-27  payload size in bytes (u64)
  *     bytes 28-35  FNV-1a checksum of the payload (u64)
- *     bytes 36-    payload (TestSession::visitPrefix stream)
+ *     bytes 36-    payload (the prefix's golden image, sim/golden_image.hh)
  *
  * openCheckpoint() validates every field before exposing the payload
  * and reports failures gracefully ({ok, error}, mirroring the .xtrace
  * reader): a checkpoint crossing a process or version boundary is
- * external input. Each process opens an envelope once, right after
- * sealing it (core::ShardExecutor::openPrefix, which also checks the
- * key hash), and restores every unit from that one verified view.
- * Once the checksum has passed, a payload that does not load cleanly
- * indicates a logic bug, and the restoring caller
- * (core::ShardExecutor) fails hard.
+ * external input.
  */
 
 #ifndef XSER_CORE_CHECKPOINT_HH
@@ -40,12 +35,15 @@ namespace xser::core {
  */
 inline constexpr uint32_t checkpointVersion = 2;
 
+/** Envelope header size: the payload starts at this offset. */
+inline constexpr size_t checkpointHeaderBytes = 36;
+
 /**
  * Wrap a prefix snapshot payload in the envelope.
  *
  * @param key_hash prefixKeyHash() of the prefix's key.
- * @param payload TestSession::visitPrefix stream (its buffer becomes
- *        the envelope).
+ * @param payload The prefix's golden image (its buffer becomes the
+ *        envelope).
  */
 std::string sealCheckpoint(uint64_t key_hash, std::string payload);
 
@@ -55,7 +53,6 @@ struct CheckpointView {
     std::string error;           ///< set when !ok
     uint64_t keyHash = 0;
     std::string_view payload;    ///< into the caller's buffer
-    uint64_t envelopeBytes = 0;  ///< whole envelope, header included
 };
 
 /**
@@ -64,6 +61,36 @@ struct CheckpointView {
  * outlive it. Never fatals: malformed input yields {ok=false, error}.
  */
 CheckpointView openCheckpoint(std::string_view bytes);
+
+/**
+ * A sealed envelope, opened once: the value every unit restores from.
+ * It owns the envelope and derives the payload from it on each access,
+ * so no unit can be handed an unopened or dangling view.
+ */
+class Checkpoint
+{
+  public:
+    /**
+     * Open `envelope` (openCheckpoint) and require its key hash to be
+     * `key_hash`; fatal "refusing checkpoint: <error>" otherwise. Timed
+     * as phase SnapshotRestore on the caller's active shard.
+     */
+    Checkpoint(std::string envelope, uint64_t key_hash);
+
+    uint64_t keyHash() const { return keyHash_; }
+    uint64_t envelopeBytes() const { return envelope_.size(); }
+
+    /** The verified payload: the prefix's golden image. */
+    std::string_view
+    payload() const
+    {
+        return std::string_view(envelope_).substr(checkpointHeaderBytes);
+    }
+
+  private:
+    std::string envelope_;
+    uint64_t keyHash_;
+};
 
 } // namespace xser::core
 

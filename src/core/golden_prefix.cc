@@ -105,9 +105,6 @@ GoldenPrefix::visit(Archive &ar, cpu::XGene2Platform &platform,
 {
     if (ar.loading()) {
         XSER_ASSERT(suite_.empty(), "golden prefix already ran");
-        // The EDAC reporter is provably empty at the seam (no beam
-        // ran), so it is cleared rather than serialized.
-        platform.edac().clear();
         for (const auto &name : key.workloadNames)
             suite_.push_back(workloads::makeWorkload(name));
         goldenRuns_.resize(suite_.size());

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <thread>
 
 #include "mem/edac_reporter.hh"
@@ -229,11 +230,9 @@ ParallelCampaignRunner::executeAll(trace::TraceWriter *trace_writer)
     // key, so one snapshot serves every unit -- this is what
     // importance splitting buys: the prefix is paid once per campaign
     // instead of once per unit.
-    std::string checkpoint;
-    CheckpointView prefix;
+    std::optional<Checkpoint> prefix;
     run_pool(1, [&](size_t) {
-        checkpoint = executor.sealPrefix();
-        prefix = executor.openPrefix(checkpoint);
+        prefix.emplace(executor.sealPrefix(), executor.prefixKeyHash());
         if (run_.progress != nullptr)
             run_.progress->tick();
     });
@@ -244,7 +243,7 @@ ParallelCampaignRunner::executeAll(trace::TraceWriter *trace_writer)
     run_pool(units, [&](size_t unit) {
         outcomes[unit] = executor.runUnit(
             unit % num_sessions,
-            static_cast<unsigned>(unit / num_sessions), prefix);
+            static_cast<unsigned>(unit / num_sessions), *prefix);
         if (run_.progress != nullptr)
             run_.progress->tick();
     });

@@ -9,9 +9,9 @@
 
 #include "core/golden_prefix.hh"
 #include "core/test_session.hh"
+#include "sim/golden_image.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "sim/bytes.hh"
 #include "telemetry/metrics.hh"
 #include "trace/trace_writer.hh"
 
@@ -38,32 +38,12 @@ ShardExecutor::sealPrefix() const
     }
     const telemetry::ScopedPhase timer(
         telemetry::Phase::SnapshotEncode);
-    ByteWriter writer;
-    // Reserve past glibc's 32 MiB mmap ceiling so growth never doubles
-    // through heap chunks whose freed copies stay resident; untouched
-    // capacity costs address space, not memory.
-    writer.reserve(size_t(64) << 20);
-    Archive archive(writer);
-    prefix.visit(archive, platform, key_);
-    std::string envelope = sealCheckpoint(keyHash_, writer.take());
+    GoldenImage image = GoldenImage::capture(
+        [&](Archive &ar) { prefix.visit(ar, platform, key_); });
+    std::string envelope = sealCheckpoint(keyHash_, std::move(image.bytes));
     telemetry::distAdd(telemetry::Dist::CheckpointKilobytes,
                        static_cast<double>(envelope.size()) / 1024.0);
     return envelope;
-}
-
-CheckpointView
-ShardExecutor::openPrefix(const std::string &envelope) const
-{
-    const telemetry::ScopedPhase timer(telemetry::Phase::SnapshotRestore);
-    CheckpointView view = openCheckpoint(envelope);
-    if (view.ok && view.keyHash != keyHash_) {
-        view.ok = false;
-        view.error = msg("prefix key hash ", view.keyHash,
-                         " is not the campaign's ", keyHash_);
-    }
-    if (!view.ok)
-        fatal(msg("refusing checkpoint: ", view.error));
-    return view;
 }
 
 SessionConfig
@@ -91,7 +71,7 @@ ShardExecutor::unitConfig(size_t session_index, unsigned replicate_index,
 
 UnitOutcome
 ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
-                       const CheckpointView &prefix) const
+                       const Checkpoint &prefix) const
 {
     telemetry::MetricShard *shard = telemetry::activeShard();
     const uint64_t begin_nanos =
@@ -104,34 +84,28 @@ ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
     TestSession session(&platform, unitConfig(session_index,
                                               replicate_index,
                                               buffer.get()));
+    GoldenPrefix golden;
 
-    // The checksum was verified once, when this process sealed the
-    // envelope (openPrefix); the buffer is immutable since, and no
-    // envelope crosses a process boundary today. Re-hashing the ~60 MB
-    // payload per unit would cost more than the restore itself, so only
-    // the O(1) identity check runs here.
+    // The checksum was verified once, when this process opened the
+    // envelope it sealed; re-hashing the ~60 MB payload per unit would
+    // cost more than the load itself, so only the O(1) key check runs.
     {
         const telemetry::ScopedPhase timer(
             telemetry::Phase::SnapshotRestore);
-        XSER_ASSERT(prefix.ok, "restore from an unopened checkpoint");
-        XSER_ASSERT(prefix.keyHash == keyHash_,
+        XSER_ASSERT(prefix.keyHash() == keyHash_,
                     "checkpoint/campaign prefix key mismatch");
         telemetry::count(telemetry::Counter::CheckpointsOpened);
         telemetry::count(telemetry::Counter::CheckpointOpenedBytes,
-                         prefix.envelopeBytes);
-        ByteReader reader(prefix.payload);
-        Archive archive(reader);
-        session.visitPrefix(archive);
-        if (!reader.atEnd())
-            fatal(msg("checkpoint payload for session ", session_index,
-                      reader.ok() ? " not fully consumed by restore"
-                                  : " underran during restore"));
+                         prefix.envelopeBytes());
+        GoldenImage::load(prefix.payload(), [&](Archive &ar) {
+            golden.visit(ar, platform, key_);
+        });
     }
     UnitOutcome outcome;
     {
         const telemetry::ScopedPhase timer(
             telemetry::Phase::Continuation);
-        outcome.result = session.runContinuation();
+        outcome.result = session.runContinuation(std::move(golden));
     }
     if (buffer != nullptr) {
         const telemetry::ScopedPhase timer(telemetry::Phase::TraceWrite);

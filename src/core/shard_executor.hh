@@ -66,23 +66,12 @@ class ShardExecutor
 
     /**
      * Run the campaign's golden prefix on a platform built from its
-     * key alone and seal it into a checkpoint envelope
+     * key alone and seal its golden image into a checkpoint envelope
      * (core/checkpoint.hh) whose identity is the key hash. Records the
      * prefix telemetry (CheckpointsSealed, CheckpointKilobytes) on the
      * caller's active shard.
      */
     std::string sealPrefix() const;
-
-    /**
-     * Verify a sealed envelope once (openCheckpoint: magic, version,
-     * sizes, payload checksum), check that its key hash is the
-     * campaign's, and return the view every unit restores from. The
-     * view aliases `envelope`, which must outlive it and stay
-     * unmodified. Fatal ("refusing checkpoint: <error>") when the
-     * envelope does not open or carries another key. Timed as phase
-     * SnapshotRestore on the caller's active shard.
-     */
-    CheckpointView openPrefix(const std::string &envelope) const;
 
     /**
      * The session a unit runs: the configured one, reseeded for
@@ -97,17 +86,18 @@ class ShardExecutor
                              trace::TraceBuffer *trace = nullptr) const;
 
     /**
-     * Run one (session, replicate) unit on a fresh platform: restore
-     * the prefix from `prefix` -- openPrefix()'s view -- and run the
-     * continuation. A traced unit records into its own buffer and
-     * returns it encoded, so no sink is ever shared between units.
+     * Run one (session, replicate) unit on a fresh platform: load the
+     * campaign's golden prefix from `prefix` (sealPrefix()'s envelope,
+     * opened under prefixKeyHash()) and run the continuation from it.
+     * A traced unit records into its own buffer and returns it
+     * encoded, so no sink is ever shared between units.
      * Records the per-unit telemetry (UnitsCompleted, RunsPerUnit,
      * ErrorEventsPerUnit, the restore's CheckpointsOpened /
      * CheckpointOpenedBytes, and the timing-quarantined UnitSeconds /
      * unitsExecuted) on the caller's active shard.
      */
     UnitOutcome runUnit(size_t session_index, unsigned replicate_index,
-                        const CheckpointView &prefix) const;
+                        const Checkpoint &prefix) const;
 
   private:
     CampaignConfig config_;

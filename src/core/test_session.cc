@@ -107,46 +107,26 @@ TestSession::TestSession(cpu::XGene2Platform *platform,
         fatal("session needs at least one workload");
     if (config_.fluencePerRun <= 0.0)
         fatal("fluence per run must be positive");
-    key_ = prefixKeyOf(platform_->config(), config_);
 }
 
 SessionResult
 TestSession::execute()
 {
-    runPrefix();
-    return runContinuation();
-}
-
-void
-TestSession::runPrefix()
-{
-    XSER_ASSERT(!prefixReady_, "session prefix already ran");
-    prefix_.run(*platform_, key_);
-    prefixReady_ = true;
-}
-
-void
-TestSession::visitPrefix(Archive &ar)
-{
-    if (ar.loading())
-        XSER_ASSERT(!prefixReady_, "session prefix already ran");
-    else
-        XSER_ASSERT(prefixReady_, "saving a prefix needs a completed one");
-    prefix_.visit(ar, *platform_, key_);
-    prefixReady_ = true;
+    GoldenPrefix prefix;
+    prefix.run(*platform_, prefixKeyOf(platform_->config(), config_));
+    return runContinuation(std::move(prefix));
 }
 
 SessionResult
-TestSession::runContinuation()
+TestSession::runContinuation(GoldenPrefix prefix)
 {
-    XSER_ASSERT(prefixReady_,
-                "runContinuation needs a prefix (run or restored)");
-    prefixReady_ = false;  // single-shot: the run consumes the prefix
+    XSER_ASSERT(prefix.suite().size() == config_.workloadNames.size(),
+                "runContinuation needs a prefix of the session's suite");
     auto &platform = *platform_;
     auto &memory = platform.memory();
     auto &edac = platform.edac();
-    auto &suite = prefix_.suite();
-    const ControlPc &control = prefix_.control();
+    auto &suite = prefix.suite();
+    const ControlPc &control = prefix.control();
 
     // The seam: everything the prefix left out because it depends on
     // time. The operating point sets the clock rate; the scrub engine
@@ -160,7 +140,7 @@ TestSession::runContinuation()
     mem::ScrubberConfig scrub_config = config_.scrub;
     scrub_config.clockScale = config_.point.frequencyHz / 2.4e9;
     mem::Scrubber scrubber(scrub_config, &memory);
-    std::vector<double> run_seconds = prefix_.replay(platform, scrubber);
+    std::vector<double> run_seconds = prefix.replay(platform, scrubber);
 
     // Attach (or detach, when null) the lifecycle trace sink. The
     // prefix and the seam emit no events -- no corruption exists
@@ -254,7 +234,7 @@ TestSession::runContinuation()
         beam_config.environment.neutronsPerCm2PerSecond;
     result.totalSramBits = memory.totalSramBits();
     result.avgPowerWatts = platform.currentPowerWatts(
-        prefix_.activitySum() / static_cast<double>(suite.size()));
+        prefix.activitySum() / static_cast<double>(suite.size()));
 
     std::map<std::string, WorkloadSessionStats> per_workload;
     for (const auto &name : config_.workloadNames)

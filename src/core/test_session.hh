@@ -20,7 +20,6 @@
 #include "cpu/xgene2_platform.hh"
 #include "mem/scrubber.hh"
 #include "rad/beam_source.hh"
-#include "sim/bytes.hh"
 #include "trace/trace_sink.hh"
 #include "volt/operating_point.hh"
 
@@ -132,21 +131,17 @@ PrefixKey prefixKeyOf(const cpu::PlatformConfig &platform,
  * A session splits into two phases with a checkpointable seam between
  * them (DESIGN.md section 10):
  *
- *  - The *golden prefix* (runPrefix): build the suite, record golden
- *    references beam-off, flush the hierarchy. It is a GoldenPrefix
- *    run on the session's PrefixKey alone -- no seed, operating
- *    point, scrub setting or stop criterion reaches it -- so one
- *    prefix serves every session and replicate sharing the key.
+ *  - The *golden prefix*: build the suite, record golden references
+ *    beam-off, flush the hierarchy. It is a GoldenPrefix run on the
+ *    session's PrefixKey alone -- no seed, operating point, scrub
+ *    setting or stop criterion reaches it -- so one prefix serves
+ *    every session and replicate sharing the key.
  *
  *  - The *continuation* (runContinuation): apply the operating point
  *    and replay the prefix's quantum timeline through the clock and
  *    the patrol scrubber (the seam), then construct the beam from the
  *    session seed, warm up, and measure. Everything time-, point- or
  *    seed-dependent lives here.
- *
- * visitPrefix saves or loads the prefix, letting a campaign fork many
- * continuations from one prefix instead of replaying it for each.
- * execute() == runPrefix() + runContinuation().
  */
 class TestSession
 {
@@ -159,36 +154,20 @@ class TestSession
     TestSession(cpu::XGene2Platform *platform,
                 const SessionConfig &config);
 
-    /** Run the whole session. */
+    /** Run the whole session: prefix, then continuation. */
     SessionResult execute();
 
     /**
-     * Run the golden prefix of this session's key. Fatal if a prefix
-     * already ran or was loaded on this session object.
+     * Run the continuation from `prefix`, run on or loaded into this
+     * session's platform under its key (prefixKeyOf). A campaign unit
+     * loads the campaign's one prefix from its golden image, so many
+     * continuations fork from one prefix instead of replaying it.
      */
-    void runPrefix();
-
-    /**
-     * Save the prefix (requires a completed one, run or loaded), or --
-     * on a loading archive -- adopt a prefix saved under the same key
-     * (the checkpoint envelope's key hash guards this; see
-     * core/checkpoint.hh). Loading replaces runPrefix().
-     */
-    void visitPrefix(Archive &ar);
-
-    /**
-     * Run the continuation: the seam, beam construction, warm-up,
-     * measured phase. Requires a prefix (run or restored). May be
-     * called once per session object.
-     */
-    SessionResult runContinuation();
+    SessionResult runContinuation(GoldenPrefix prefix);
 
   private:
     cpu::XGene2Platform *platform_;
     SessionConfig config_;
-    PrefixKey key_;
-    GoldenPrefix prefix_;
-    bool prefixReady_ = false;
 };
 
 } // namespace xser::core

@@ -100,8 +100,10 @@ XGene2Platform::visit(Archive &ar)
 {
     Tick now = clock_.now();
     ar.u64(now);
-    if (ar.loading())
+    if (ar.loading()) {
         clock_.setNow(now);
+        edac_.clear();
+    }
     uint64_t cores = cores_.size();
     ar.u64(cores);
     XSER_ASSERT(cores == cores_.size(),

@@ -94,10 +94,11 @@ class XGene2Platform
     /**
      * Save or load the platform's checkpointable state: the simulated
      * clock, every core's front-end driver (RNG stream + carries), and
-     * the full memory hierarchy. Voltage domains, timing, variation,
-     * and power are pure functions of configuration + the applied
-     * operating point, so a loader built from the same configuration
-     * calls applyOperatingPoint() first instead of serializing them.
+     * the full memory hierarchy. A load clears the EDAC reporter, the
+     * only platform state off the walk, and is complete in place on
+     * any platform built from the same configuration (DESIGN.md
+     * section 10). Voltage domains, timing, variation and power follow
+     * from that configuration and the operating point a loader applies.
      */
     void visit(Archive &ar);
 

@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "inject/fault_injector.hh"
-#include "sim/bytes.hh"
 #include "sim/logging.hh"
 
 namespace xser::inject {
@@ -40,30 +39,20 @@ AvfEstimator::AvfEstimator(const AvfConfig &config) : config_(config)
     XSER_ASSERT(golden.termination == workloads::Termination::Completed,
                 "golden AVF run trapped");
     golden_ = golden.signature;
+    goldenImage_ = GoldenImage::capture([this](Archive &ar) { walk(ar); });
+}
 
-    ByteWriter writer;
-    // Headroom past the largest state (CG, 27 MB) so the buffer never
-    // regrows; a regrowth copy added 3.4 MB to the peak RSS of `xser
-    // avf --workload MG` (x86-64 Linux). Untouched capacity costs
-    // address space, not memory.
-    writer.reserve(size_t(64) << 20);
-    Archive archive(writer);
-    platform_->visit(archive);
-    workload_->visit(archive, platform_->memory());
-    goldenState_ = writer.take();
+void
+AvfEstimator::walk(Archive &ar)
+{
+    platform_->visit(ar);
+    workload_->visit(ar, platform_->memory());
 }
 
 void
 AvfEstimator::rebuild()
 {
-    platform_->edac().clear();
-    ByteReader reader(goldenState_);
-    Archive archive(reader);
-    platform_->visit(archive);
-    workload_->visit(archive, platform_->memory());
-    if (!reader.atEnd())
-        fatal(reader.ok() ? "AVF golden state not fully consumed by restore"
-                          : "AVF golden state underran during restore");
+    goldenImage_.loadInto([this](Archive &ar) { walk(ar); });
     ++rebuildCount_;
 }
 

@@ -27,6 +27,7 @@
 
 #include "cpu/xgene2_platform.hh"
 #include "rad/cross_section_model.hh"
+#include "sim/golden_image.hh"
 #include "workloads/workload.hh"
 
 namespace xser::inject {
@@ -75,9 +76,9 @@ double perFlipAvf(unsigned corrupted, unsigned trials,
 /**
  * Runs the injection campaign for one structure class on one platform,
  * built once: construct, set up the workload, record its golden run,
- * and keep the post-run state as an in-memory snapshot. Corruption can
+ * and capture the post-run state as a golden image. Corruption can
  * linger in cached state, so every corrupting trial is followed by
- * rebuild(), an in-place load of that snapshot (DESIGN.md section 10).
+ * rebuild(), an in-place load of that image (DESIGN.md section 10).
  */
 class AvfEstimator
 {
@@ -87,11 +88,7 @@ class AvfEstimator
     /** Estimate the AVF of one cache level's arrays. */
     AvfResult estimate(mem::CacheLevel level);
 
-    /**
-     * Return the platform and workload to the golden post-run state:
-     * clear the EDAC reporter (the only platform state off the
-     * visit() walk) and load the snapshot in place.
-     */
+    /** Load the golden post-run state back in place. */
     void rebuild();
 
     /** The platform trials run on. */
@@ -114,11 +111,14 @@ class AvfEstimator
                       double volts, double flux_per_hour = 13.0) const;
 
   private:
+    /** The golden state's visit() chain: platform, then workload. */
+    void walk(Archive &ar);
+
     AvfConfig config_;
     std::unique_ptr<cpu::XGene2Platform> platform_;
     std::unique_ptr<workloads::Workload> workload_;
     std::vector<uint64_t> golden_;
-    std::string goldenState_;  ///< platform + workload after golden run
+    GoldenImage goldenImage_;  ///< platform + workload after golden run
     /** Builds plus rebuilds so far; mixed into the injector seeds. */
     uint64_t rebuildCount_ = 1;
 };

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/parallel_campaign.hh"
@@ -22,18 +23,6 @@
 namespace xser::service {
 
 namespace {
-
-/**
- * The worker's one sealed golden prefix. `view` aliases `checkpoint`,
- * so the two are only ever replaced together.
- */
-struct SealedPrefix {
-    uint64_t keyHash = 0;
-    std::string checkpoint;
-    core::CheckpointView view; ///< verified once, when sealed
-    /** The seal's telemetry, attached once to every campaign it serves. */
-    std::string telemetryBlob;
-};
 
 /** Everything the worker caches for one campaign. */
 struct WorkerCampaign {
@@ -192,29 +181,27 @@ class Worker
         result.replicate = assign.replicate;
 
         const uint64_t key = executor.prefixKeyHash();
-        if (prefix_.checkpoint.empty() || prefix_.keyHash != key) {
+        if (!prefix_.has_value() || prefix_->keyHash() != key) {
             // Seal into a dedicated telemetry shard so the server can
             // reproduce the local once-per-campaign prefix accounting
             // (it keeps the first blob per campaign).
             telemetry::MetricShard prefix_shard;
             {
                 const telemetry::ShardScope scope(&prefix_shard);
-                prefix_.keyHash = key;
-                prefix_.checkpoint = executor.sealPrefix();
-                prefix_.view = executor.openPrefix(prefix_.checkpoint);
+                prefix_.emplace(executor.sealPrefix(), key);
             }
-            prefix_.telemetryBlob = encode(prefix_shard);
+            prefixTelemetry_ = encode(prefix_shard);
         }
         if (!campaign.prefixTelemetrySent) {
             campaign.prefixTelemetrySent = true;
-            result.prefixTelemetry = prefix_.telemetryBlob;
+            result.prefixTelemetry = prefixTelemetry_;
         }
 
         telemetry::MetricShard shard_telemetry;
         {
             const telemetry::ShardScope scope(&shard_telemetry);
             result.unit = executor.runUnit(assign.session,
-                                           assign.replicate, prefix_.view);
+                                           assign.replicate, *prefix_);
         }
         result.shardTelemetry = encode(shard_telemetry);
         send(FrameType::ShardResult, encode(result));
@@ -225,7 +212,9 @@ class Worker
     net::FrameReader reader_;
     std::string outbox_;
     std::map<uint64_t, std::unique_ptr<WorkerCampaign>> campaigns_;
-    SealedPrefix prefix_;
+    /** The worker's one golden prefix, and its seal's telemetry. */
+    std::optional<core::Checkpoint> prefix_;
+    std::string prefixTelemetry_;
     unsigned assignmentsSeen_ = 0;
 };
 

@@ -23,7 +23,7 @@
 #include "core/shard_executor.hh"
 #include "core/test_session.hh"
 #include "cpu/xgene2_platform.hh"
-#include "sim/bytes.hh"
+#include "sim/golden_image.hh"
 #include "telemetry/metrics.hh"
 #include "trace/trace_writer.hh"
 
@@ -90,24 +90,44 @@ readFileBytes(const std::string &path)
     return bytes.str();
 }
 
-/** Save a session's prefix through a writing archive. */
-std::string
-savePrefix(TestSession &session)
+/** The golden image of a prefix run on or loaded into `platform`. */
+GoldenImage
+imageOf(GoldenPrefix &prefix, cpu::XGene2Platform &platform,
+        const PrefixKey &key)
 {
-    ByteWriter writer;
-    Archive archive(writer);
-    session.visitPrefix(archive);
-    return writer.take();
+    return GoldenImage::capture(
+        [&](Archive &ar) { prefix.visit(ar, platform, key); });
 }
 
-/** Adopt a saved prefix; true when the load consumed every byte. */
-bool
-loadPrefix(TestSession &session, const std::string &bytes)
+/** A prefix loaded from its image into `platform`. */
+GoldenPrefix
+loadPrefix(const GoldenImage &image, cpu::XGene2Platform &platform,
+           const PrefixKey &key)
 {
-    ByteReader reader(bytes);
-    Archive archive(reader);
-    session.visitPrefix(archive);
-    return reader.atEnd();
+    GoldenPrefix prefix;
+    image.loadInto([&](Archive &ar) { prefix.visit(ar, platform, key); });
+    return prefix;
+}
+
+/** Run `session`'s golden prefix on a fresh platform; its image. */
+GoldenImage
+prefixImage(const SessionConfig &session)
+{
+    const PrefixKey key = prefixKeyOf(cpu::PlatformConfig{}, session);
+    cpu::XGene2Platform platform(key.platform);
+    GoldenPrefix prefix;
+    prefix.run(platform, key);
+    return imageOf(prefix, platform, key);
+}
+
+/** `session`'s continuation, forked on a fresh platform from `image`. */
+SessionResult
+forkFrom(const GoldenImage &image, const SessionConfig &session)
+{
+    const PrefixKey key = prefixKeyOf(cpu::PlatformConfig{}, session);
+    cpu::XGene2Platform platform(key.platform);
+    GoldenPrefix prefix = loadPrefix(image, platform, key);
+    return TestSession(&platform, session).runContinuation(std::move(prefix));
 }
 
 TEST(CheckpointEnvelope, SealOpenRoundTrip)
@@ -183,15 +203,12 @@ TEST(CheckpointRoundTrip, RestoreIsASnapshotFixedPoint)
     // (Fork equivalence below closes the remaining gap: nothing
     // *outside* the snapshot matters either.)
     const SessionConfig session_config = tinySession();
-    cpu::XGene2Platform original(cpu::PlatformConfig{});
-    TestSession prefix(&original, session_config);
-    prefix.runPrefix();
-    const std::string first = savePrefix(prefix);
+    const PrefixKey key = prefixKeyOf(cpu::PlatformConfig{}, session_config);
+    const GoldenImage first = prefixImage(session_config);
 
-    cpu::XGene2Platform restored(cpu::PlatformConfig{});
-    TestSession adopted(&restored, session_config);
-    EXPECT_TRUE(loadPrefix(adopted, first));
-    EXPECT_EQ(savePrefix(adopted), first);
+    cpu::XGene2Platform restored(key.platform);
+    GoldenPrefix adopted = loadPrefix(first, restored, key);
+    EXPECT_TRUE(imageOf(adopted, restored, key).bytes == first.bytes);
 }
 
 TEST(CheckpointRoundTrip, ForkedContinuationMatchesStraightRun)
@@ -202,15 +219,8 @@ TEST(CheckpointRoundTrip, ForkedContinuationMatchesStraightRun)
     TestSession straight(&straight_platform, session_config);
     const SessionResult expected = straight.execute();
 
-    cpu::XGene2Platform prefix_platform(cpu::PlatformConfig{});
-    TestSession prefix(&prefix_platform, session_config);
-    prefix.runPrefix();
-    const std::string blob = savePrefix(prefix);
-
-    cpu::XGene2Platform fork_platform(cpu::PlatformConfig{});
-    TestSession fork(&fork_platform, session_config);
-    ASSERT_TRUE(loadPrefix(fork, blob));
-    const SessionResult actual = fork.runContinuation();
+    const SessionResult actual =
+        forkFrom(prefixImage(session_config), session_config);
 
     expectSessionsBitIdentical(expected, actual);
 }
@@ -219,10 +229,7 @@ TEST(CheckpointRoundTrip, OnePrefixForksDistinctSeeds)
 {
     // The importance-splitting claim: one snapshot serves every
     // replicate seed, and different seeds genuinely diverge.
-    cpu::XGene2Platform prefix_platform(cpu::PlatformConfig{});
-    TestSession prefix(&prefix_platform, tinySession(1));
-    prefix.runPrefix();
-    const std::string blob = savePrefix(prefix);
+    const GoldenImage image = prefixImage(tinySession(1));
 
     std::vector<SessionResult> results;
     for (const uint64_t seed : {1ULL, 2ULL}) {
@@ -231,10 +238,7 @@ TEST(CheckpointRoundTrip, OnePrefixForksDistinctSeeds)
         TestSession straight(&straight_platform, tinySession(seed));
         const SessionResult expected = straight.execute();
         // ...must match a fork of the seed-1 prefix under this seed.
-        cpu::XGene2Platform fork_platform(cpu::PlatformConfig{});
-        TestSession fork(&fork_platform, tinySession(seed));
-        ASSERT_TRUE(loadPrefix(fork, blob));
-        const SessionResult actual = fork.runContinuation();
+        const SessionResult actual = forkFrom(image, tinySession(seed));
         expectSessionsBitIdentical(expected, actual);
         results.push_back(actual);
     }
@@ -252,12 +256,13 @@ twoTinySessions()
 
 TEST(CheckpointPrefixDeath, OpenOnceRefusesACorruptedEnvelope)
 {
-    // Units trust the view openPrefix returns, so the one-time check
-    // is the only one: a flipped payload byte must stop the process.
+    // Units trust the Checkpoint they restore from, so its one-time
+    // check is the only one: a flipped payload byte must stop the
+    // process.
     const ShardExecutor executor(twoTinySessions(), 0x5e5510ULL, 0);
     std::string envelope = executor.sealPrefix();
     envelope[envelope.size() / 2] ^= 0x01;
-    EXPECT_EXIT(executor.openPrefix(envelope),
+    EXPECT_EXIT(Checkpoint(std::move(envelope), executor.prefixKeyHash()),
                 ::testing::ExitedWithCode(1),
                 "refusing checkpoint: checkpoint payload checksum "
                 "mismatch");
@@ -273,10 +278,29 @@ TEST(CheckpointPrefixDeath, OpenRefusesAnotherKeysEnvelope)
     const ShardExecutor sealer(twoTinySessions(), 0x5e5510ULL, 0);
     const ShardExecutor opener(reference, 0x5e5510ULL, 0);
     ASSERT_NE(sealer.prefixKeyHash(), opener.prefixKeyHash());
-    const std::string envelope = sealer.sealPrefix();
-    EXPECT_EXIT(opener.openPrefix(envelope),
+    EXPECT_EXIT(Checkpoint(sealer.sealPrefix(), opener.prefixKeyHash()),
                 ::testing::ExitedWithCode(1),
                 "refusing checkpoint: prefix key hash");
+}
+
+TEST(CheckpointPrefixDeath, APayloadThatDoesNotLoadExactlyIsFatal)
+{
+    // A payload sealed with a byte too many or too few passes the
+    // checksum; the unit's load must refuse it either way.
+    const ShardExecutor executor(twoTinySessions(), 0x5e5510ULL, 0);
+    const uint64_t key = executor.prefixKeyHash();
+    const std::string payload(openCheckpoint(executor.sealPrefix()).payload);
+    {
+        const Checkpoint trailing(sealCheckpoint(key, payload + '\0'), key);
+        EXPECT_EXIT(executor.runUnit(0, 0, trailing),
+                    ::testing::ExitedWithCode(1),
+                    "golden image not fully consumed by load");
+    }
+    const Checkpoint truncated(
+        sealCheckpoint(key, payload.substr(0, payload.size() - 1)), key);
+    EXPECT_EXIT(executor.runUnit(0, 0, truncated),
+                ::testing::ExitedWithCode(1),
+                "golden image underran during load");
 }
 
 TEST(CheckpointPrefixDeath, CampaignOfTwoPrefixKeysIsRefused)
@@ -426,15 +450,7 @@ TEST(CheckpointRoundTrip, OnePrefixServesEveryOperatingPoint)
     TestSession straight(&straight_platform, slow);
     const SessionResult expected = straight.execute();
 
-    cpu::XGene2Platform prefix_platform(cpu::PlatformConfig{});
-    TestSession prefix(&prefix_platform, tinySession());
-    prefix.runPrefix();
-    const std::string blob = savePrefix(prefix);
-
-    cpu::XGene2Platform fork_platform(cpu::PlatformConfig{});
-    TestSession fork(&fork_platform, slow);
-    ASSERT_TRUE(loadPrefix(fork, blob));
-    const SessionResult actual = fork.runContinuation();
+    const SessionResult actual = forkFrom(prefixImage(tinySession()), slow);
 
     expectSessionsBitIdentical(expected, actual);
     EXPECT_TRUE(expected == actual);

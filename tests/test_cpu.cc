@@ -9,6 +9,7 @@
 
 #include "cpu/core.hh"
 #include "cpu/xgene2_platform.hh"
+#include "sim/golden_image.hh"
 #include "volt/operating_point.hh"
 
 namespace xser::cpu {
@@ -74,6 +75,37 @@ TEST(Platform, DistinctChipSeedsGiveDistinctVariation)
                      chip_b.variation().coreOffsetVolts(core);
     }
     EXPECT_TRUE(different);
+}
+
+TEST(Platform, LoadingThroughTheWalkEmptiesTheEdacReporter)
+{
+    // The EDAC reporter is the only platform state off the visit()
+    // walk, and a loaded state carries no detection log: loading
+    // clears it, whatever CE and UE events came before.
+    XGene2Platform platform;
+    mem::MemorySystem &memory = platform.memory();
+    const size_t bytes = 64 * 1024;
+    const mem::Addr base = memory.allocate(bytes, "lines");
+    for (mem::Addr addr = base; addr < base + bytes; addr += 8)
+        memory.writeWord(0, addr, addr);
+    const auto walk = [&platform](Archive &ar) { platform.visit(ar); };
+    const GoldenImage image = GoldenImage::capture(walk);
+
+    // Single flips in the even words of core 0's L2 (CE) and double
+    // flips in the odd ones (UE), found by the patrol scrub.
+    mem::SramArray &array = memory.l2(0).dataArray();
+    for (size_t word = 0; word < array.words(); ++word) {
+        array.flipBit(word, 0);
+        if (word % 2 == 1)
+            array.flipBit(word, 1);
+    }
+    memory.scrub(array.words(), 0);
+    ASSERT_GT(platform.edac().totalCorrected(), 0u);
+    ASSERT_GT(platform.edac().totalUncorrected(), 0u);
+
+    image.loadInto(walk);
+    EXPECT_EQ(platform.edac().totalUpsets(), 0u);
+    EXPECT_TRUE(GoldenImage::capture(walk).bytes == image.bytes);
 }
 
 TEST(Core, TouchesStayWithinFootprint)

@@ -13,7 +13,7 @@
 #include "mem/scrubber.hh"
 #include "mem/sram_array.hh"
 #include "mem/tlb.hh"
-#include "sim/bytes.hh"
+#include "sim/golden_image.hh"
 #include "sim/rng.hh"
 #include "telemetry/metrics.hh"
 
@@ -425,10 +425,8 @@ runOwnerMix(bool fast_path, OwnerMixRun &out)
                 target.array->read(word);
         }
     }
-    ByteWriter writer;
-    Archive archive(writer);
-    memory.visit(archive);
-    out.snapshot = writer.take();
+    out.snapshot =
+        GoldenImage::capture([&](Archive &ar) { memory.visit(ar); }).bytes;
 }
 
 TEST(MemorySystem, OneL2OwnerPerLineUnderFlipsAndScrubsAnyFastPath)

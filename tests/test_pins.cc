@@ -24,7 +24,7 @@
 #include "net/frame.hh"
 #include "service/protocol.hh"
 #include "service_samples.hh"
-#include "sim/bytes.hh"
+#include "sim/golden_image.hh"
 #include "trace/trace_buffer.hh"
 #include "trace/trace_writer.hh"
 
@@ -55,10 +55,7 @@ encodeMessage(const Msg &msg)
 std::string
 snapshotBytes(mem::MemorySystem &memory)
 {
-    ByteWriter writer;
-    Archive archive(writer);
-    memory.visit(archive);
-    return writer.take();
+    return GoldenImage::capture([&](Archive &ar) { memory.visit(ar); }).bytes;
 }
 
 // --------------------------------------------------------------------

@@ -9,10 +9,13 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "sim/bytes.hh"
+#include "sim/golden_image.hh"
 #include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -321,6 +324,38 @@ TEST(Archive, RejectPoisonsALoadAndKeepsTheReason)
     partial.visit(truncated);
     EXPECT_FALSE(truncated.ok());
     EXPECT_EQ(truncated.rejection(), nullptr);
+}
+
+/* --------------------------- golden image ------------------------ */
+
+TEST(GoldenImage, LoadsTheCapturedStateBackInPlace)
+{
+    Sample state{42, 7, true, -2.5, "cg", {1, 2, 3}};
+    const auto walk = [&state](Archive &ar) { state.visit(ar); };
+    const GoldenImage image = GoldenImage::capture(walk);
+    state = Sample{1, 2, false, 0.5, "a longer name", {9}};
+    image.loadInto(walk);
+    EXPECT_EQ(state.count, 42u);
+    EXPECT_EQ(state.small, 7u);
+    EXPECT_TRUE(state.flag);
+    EXPECT_EQ(state.value, -2.5);
+    EXPECT_EQ(state.name, "cg");
+    EXPECT_EQ(state.words, (std::vector<uint64_t>{1, 2, 3}));
+    EXPECT_EQ(GoldenImage::capture(walk).bytes, image.bytes);
+}
+
+TEST(GoldenImageDeath, ALoadMustConsumeExactlyTheImage)
+{
+    Sample state{42, 7, true, -2.5, "cg", {1, 2, 3}};
+    const auto walk = [&state](Archive &ar) { state.visit(ar); };
+    const std::string bytes = GoldenImage::capture(walk).bytes;
+    EXPECT_EXIT(GoldenImage::load(bytes + '\0', walk),
+                ::testing::ExitedWithCode(1),
+                "golden image not fully consumed by load");
+    const std::string_view truncated(bytes.data(), bytes.size() - 1);
+    EXPECT_EXIT(GoldenImage::load(truncated, walk),
+                ::testing::ExitedWithCode(1),
+                "golden image underran during load");
 }
 
 /* -------------------------- stream splitter ---------------------- */

@@ -14,7 +14,7 @@
 #include "core/tradeoff.hh"
 #include "inject/avf_estimator.hh"
 #include "inject/fault_injector.hh"
-#include "sim/bytes.hh"
+#include "sim/golden_image.hh"
 #include "volt/timing_model.hh"
 #include "workloads/workload.hh"
 
@@ -274,18 +274,20 @@ targetsAt(mem::MemorySystem &memory, mem::CacheLevel level)
 std::string
 savedState(cpu::XGene2Platform &platform, workloads::Workload &workload)
 {
-    ByteWriter writer;
-    Archive archive(writer);
-    platform.visit(archive);
-    workload.visit(archive, platform.memory());
-    return writer.take();
+    const auto walk = [&](Archive &ar) {
+        platform.visit(ar);
+        workload.visit(ar, platform.memory());
+    };
+    return GoldenImage::capture(walk).bytes;
 }
 
-TEST(AvfEstimator, RebuildRestoresTheGoldenStateInPlace)
+/** RebuildRestoresTheGoldenStateInPlace for one workload. */
+void
+expectRebuildRestoresInPlace(const std::string &name)
 {
     // A from-scratch build: construct, set up, golden run.
     cpu::XGene2Platform fresh;
-    const auto fresh_workload = workloads::makeWorkload("EP");
+    const auto fresh_workload = workloads::makeWorkload(name);
     workloads::RunContext fresh_ctx(&fresh.memory(),
                                     workloads::RunContext::QuantumHook(),
                                     1u << 20);
@@ -294,7 +296,7 @@ TEST(AvfEstimator, RebuildRestoresTheGoldenStateInPlace)
     const std::string golden = savedState(fresh, *fresh_workload);
 
     inject::AvfConfig config;
-    config.workloadName = "EP";
+    config.workloadName = name;
     inject::AvfEstimator estimator(config);
     cpu::XGene2Platform &platform = estimator.platform();
     mem::MemorySystem &memory = platform.memory();
@@ -344,6 +346,14 @@ TEST(AvfEstimator, RebuildRestoresTheGoldenStateInPlace)
               fresh.edac().totalUncorrected());
     EXPECT_TRUE(savedState(platform, estimator.workload()) ==
                 savedState(fresh, *fresh_workload));
+}
+
+TEST(AvfEstimator, RebuildRestoresTheGoldenStateInPlace)
+{
+    for (const std::string &name : workloads::suiteNames()) {
+        SCOPED_TRACE(name);
+        expectRebuildRestoresInPlace(name);
+    }
 }
 
 TEST(AvfEstimatorDeath, BurstOutsideOneToSixtyFourIsRefused)
