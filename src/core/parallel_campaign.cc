@@ -174,7 +174,7 @@ ParallelCampaignRunner::executeAll(trace::TraceWriter *trace_writer)
 {
     const size_t num_sessions = config_.sessions.size();
     const size_t units = num_sessions * run_.replicates;
-    const bool tracing = trace_writer != nullptr || run_.collectTrace;
+    const bool tracing = trace_writer != nullptr;
     const ShardExecutor executor(config_, run_.seed,
                                  tracing ? run_.traceBufferEvents : 0);
 

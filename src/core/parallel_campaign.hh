@@ -62,12 +62,6 @@ struct ParallelRunConfig {
     /** Per-unit trace buffer capacity (events) when tracing. */
     uint64_t traceBufferEvents = trace::TraceBuffer::defaultMaxEvents;
     /**
-     * Record and encode every unit's trace section even without a
-     * TraceWriter (benchmarks use this to measure tracing cost
-     * separately from assembling and writing the file).
-     */
-    bool collectTrace = false;
-    /**
      * Optional metrics sink with at least min(jobs, units) shards;
      * each worker records into its own shard and the registry merges
      * them canonically (DESIGN.md section 11). Telemetry observes

@@ -2,11 +2,12 @@
  * @file
  * Streaming JSON writer with deterministic output.
  *
- * One emission path serves the run manifest and every BENCH_*.json
- * record: keys are written in call order (callers use fixed orders),
- * doubles are rendered with the shortest representation that
- * round-trips exactly, and indentation is fixed at two spaces -- so
- * two runs that compute identical values emit identical bytes.
+ * One emission path serves the run manifest, and e2ebench's records
+ * quote and format through it: keys are written in call order
+ * (callers use fixed orders), doubles are rendered with the shortest
+ * representation that round-trips exactly, and indentation is fixed
+ * at two spaces -- so two runs that compute identical values emit
+ * identical bytes.
  */
 
 #ifndef XSER_TELEMETRY_JSON_HH

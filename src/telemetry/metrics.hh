@@ -18,7 +18,7 @@
  *
  * When no shard is installed (telemetry off -- the default) every
  * recording call is a null-check and nothing else, so the instrumented
- * hot paths stay within the bench_telemetry_overhead gate.
+ * hot paths stay within bench_gates' telemetry overhead gate.
  */
 
 #ifndef XSER_TELEMETRY_METRICS_HH

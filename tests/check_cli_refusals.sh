@@ -3,18 +3,20 @@
 # must exit 1 with a message naming the offending option. Covers counts
 # that would otherwise narrow into a smaller integer, an AVF burst that
 # is empty or wider than a stored word, numbers that are not finite or
-# have no clock period, and a detached client run asked for files it
-# would never write.
+# have no clock period, a detached client run asked for files it
+# would never write, and bench_paper given an XSER_SCALE or XSER_JOBS
+# it cannot use.
 #
 #   check_cli_refusals.sh XSER XSER_SERVER XSER_WORKER XSER_CLIENT \
-#                         XSER_TRACE
+#                         XSER_TRACE BENCH_PAPER
 set -u
 
-if [ "$#" -ne 5 ]; then
-    echo "usage: $0 XSER XSER_SERVER XSER_WORKER XSER_CLIENT XSER_TRACE" >&2
+if [ "$#" -ne 6 ]; then
+    echo "usage: $0 XSER XSER_SERVER XSER_WORKER XSER_CLIENT XSER_TRACE" \
+        "BENCH_PAPER" >&2
     exit 2
 fi
-XSER=$1 SERVER=$2 WORKER=$3 CLIENT=$4 TRACE=$5
+XSER=$1 SERVER=$2 WORKER=$3 CLIENT=$4 TRACE=$5 PAPER=$6
 
 WORKDIR=$(mktemp -d)
 trap 'rm -rf "$WORKDIR"' EXIT
@@ -31,6 +33,22 @@ refuse() {
     if [ "$status" -ne 1 ] || ! grep -qF -- "$message" <<< "$output"; then
         echo "FAIL: $* exited $status; wanted 1 and '$message', got:" >&2
         tail -n 3 <<< "$output" >&2
+        failures=$((failures + 1))
+    fi
+}
+
+# refuse_env NAME=VALUE: bench_paper run with that environment must
+# exit 1 naming NAME before it prints anything to stdout.
+refuse_env() {
+    local name=${1%%=*} stdout status
+    stdout=$(env "$1" timeout 60 "$PAPER" 2> stderr.txt < /dev/null)
+    status=$?
+    if [ "$status" -ne 1 ] || [ -n "$stdout" ] ||
+        ! grep -qF -- "fatal: $name expects" stderr.txt; then
+        echo "FAIL: $1 bench_paper exited $status; wanted 1, no" \
+            "output and 'fatal: $name expects', got:" >&2
+        head -n 3 <<< "$stdout" >&2
+        tail -n 3 stderr.txt >&2
         failures=$((failures + 1))
     fi
 }
@@ -76,6 +94,14 @@ refuse "--detach conflicts with --trace and --metrics" \
     "$CLIENT" run --port 1 --detach --trace out.xtrace
 refuse "--detach conflicts with --trace and --metrics" \
     "$CLIENT" run --port 1 --detach --metrics out.json
+
+# Not a number, trailing text, outside (0, 1e17] (1e18 would overflow
+# the ablations' event targets), and job counts outside --jobs' range.
+for setting in XSER_SCALE=abc XSER_SCALE= XSER_SCALE=2x XSER_SCALE=0 \
+    XSER_SCALE=-1 XSER_SCALE=nan XSER_SCALE=1e18 XSER_JOBS=abc \
+    XSER_JOBS=4x XSER_JOBS=0 XSER_JOBS=-1 XSER_JOBS=1025; do
+    refuse_env "$setting"
+done
 
 if [ "$failures" -ne 0 ]; then
     echo "$failures command line(s) not refused" >&2

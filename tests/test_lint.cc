@@ -579,7 +579,7 @@ TEST(LintTokenizer, TrigraphsDecode)
     // ??/ is a trigraph backslash: followed by a newline it splices,
     // so the directive below is one logical include of <chrono>.
     const auto diags = lint("src/core/bad.cc",
-                            "#include ??/\n<chrono>\nint x;\n");
+                            "#include ?\?/\n<chrono>\nint x;\n");
     EXPECT_EQ(countRule(diags, "wallclock"), 1u);
 }
 

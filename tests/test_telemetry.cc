@@ -234,8 +234,9 @@ TEST(Manifest, ParserSurvivesSingleByteCorruption)
         // Must never crash; ok or not is corruption-dependent.
         const telemetry::ParsedJson parsed =
             telemetry::parseJson(mutant);
-        if (!parsed.ok)
+        if (!parsed.ok) {
             EXPECT_FALSE(parsed.error.empty());
+        }
     }
 }
 
