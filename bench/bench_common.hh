@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -31,8 +32,9 @@ constexpr double defaultScale = 0.22;
 /**
  * Stop-criteria scale from the environment: XSER_FULL=1 selects the
  * paper-scale campaign, XSER_SCALE=<f> anything between, otherwise
- * `default_scale`. A scale that is not a number, has trailing text or
- * fails core::validCampaignScale() is fatal. This lives in the bench
+ * `default_scale`. XSER_FULL other than unset, 0 or 1, and a scale
+ * that is not a number, has trailing text or fails
+ * core::validCampaignScale(), are fatal. This lives in the bench
  * harness (not src/core) on purpose: the determinism contract forbids
  * environment reads inside the simulation core, and xser-lint
  * enforces it.
@@ -41,8 +43,11 @@ inline double
 campaignScaleFromEnv(double default_scale)
 {
     const char *full = std::getenv("XSER_FULL");
-    if (full != nullptr && full[0] == '1')
+    if (full != nullptr && std::strcmp(full, "0") != 0) {
+        if (std::strcmp(full, "1") != 0)
+            fatal(msg("XSER_FULL expects 0 or 1, got '", full, "'"));
         return 1.0;
+    }
     const char *text = std::getenv("XSER_SCALE");
     if (text == nullptr)
         return default_scale;

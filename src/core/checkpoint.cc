@@ -78,10 +78,11 @@ openCheckpoint(std::string_view bytes)
 }
 
 Checkpoint::Checkpoint(std::string envelope, uint64_t key_hash)
-    : envelope_(std::move(envelope)), keyHash_(key_hash)
+    : envelope_(std::make_shared<const std::string>(std::move(envelope))),
+      keyHash_(key_hash)
 {
     const telemetry::ScopedPhase timer(telemetry::Phase::SnapshotRestore);
-    const CheckpointView view = openCheckpoint(envelope_);
+    const CheckpointView view = openCheckpoint(*envelope_);
     if (!view.ok)
         fatal(msg("refusing checkpoint: ", view.error));
     if (view.keyHash != keyHash_)

@@ -24,6 +24,7 @@
 #define XSER_CORE_CHECKPOINT_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -64,8 +65,11 @@ CheckpointView openCheckpoint(std::string_view bytes);
 
 /**
  * A sealed envelope, opened once: the value every unit restores from.
- * It owns the envelope and derives the payload from it on each access,
- * so no unit can be handed an unopened or dangling view.
+ * It shares the envelope and derives the payload from it on each
+ * access, so no unit can be handed an unopened or dangling view. A
+ * platform loaded from the payload borrows its DRAM pages and holds a
+ * share of the envelope (DESIGN.md section 10), so the bytes outlive
+ * this value if a platform does.
  */
 class Checkpoint
 {
@@ -78,17 +82,24 @@ class Checkpoint
     Checkpoint(std::string envelope, uint64_t key_hash);
 
     uint64_t keyHash() const { return keyHash_; }
-    uint64_t envelopeBytes() const { return envelope_.size(); }
+    uint64_t envelopeBytes() const { return envelope_->size(); }
+
+    /** The envelope's bytes: the owner of payload(). */
+    const std::shared_ptr<const std::string> &
+    envelope() const
+    {
+        return envelope_;
+    }
 
     /** The verified payload: the prefix's golden image. */
     std::string_view
     payload() const
     {
-        return std::string_view(envelope_).substr(checkpointHeaderBytes);
+        return std::string_view(*envelope_).substr(checkpointHeaderBytes);
     }
 
   private:
-    std::string envelope_;
+    std::shared_ptr<const std::string> envelope_;
     uint64_t keyHash_;
 };
 

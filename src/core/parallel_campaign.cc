@@ -191,10 +191,11 @@ ParallelCampaignRunner::executeAll(trace::TraceWriter *trace_writer)
     // walks them in index order, so the merged counters are the same
     // for any worker count or schedule. A lone task still runs on a
     // pool thread when jobs > 1: a campaign's single seal frees its
-    // platform into that thread's glibc malloc arena, which a phase-2
-    // worker then reuses; freed into the caller's arena, which runs no
-    // unit, it stayed resident (e2ebench paper_local peak RSS 406 MB
-    // vs 358 MB, 4-vCPU x86-64 Linux host).
+    // platform into that thread's glibc malloc arena, where the
+    // phase-2 unit on that thread builds its platform; freed into the
+    // caller's arena, which runs no unit, it stayed resident (e2ebench
+    // paper_local peak RSS 230 MB vs 201 MB, 4-vCPU x86-64 Linux
+    // host).
     auto run_pool = [this](size_t n, const auto &task) {
         const size_t workers = std::min<size_t>(run_.jobs, n);
         if (run_.jobs <= 1) {

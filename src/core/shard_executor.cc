@@ -38,9 +38,8 @@ ShardExecutor::sealPrefix() const
     }
     const telemetry::ScopedPhase timer(
         telemetry::Phase::SnapshotEncode);
-    GoldenImage image = GoldenImage::capture(
-        [&](Archive &ar) { prefix.visit(ar, platform, key_); });
-    std::string envelope = sealCheckpoint(keyHash_, std::move(image.bytes));
+    const auto walk = [&](Archive &ar) { prefix.visit(ar, platform, key_); };
+    std::string envelope = sealCheckpoint(keyHash_, GoldenImage::save(walk));
     telemetry::distAdd(telemetry::Dist::CheckpointKilobytes,
                        static_cast<double>(envelope.size()) / 1024.0);
     return envelope;
@@ -97,9 +96,10 @@ ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
         telemetry::count(telemetry::Counter::CheckpointsOpened);
         telemetry::count(telemetry::Counter::CheckpointOpenedBytes,
                          prefix.envelopeBytes());
-        GoldenImage::load(prefix.payload(), [&](Archive &ar) {
+        const auto walk = [&](Archive &ar) {
             golden.visit(ar, platform, key_);
-        });
+        };
+        GoldenImage::load(prefix.envelope(), prefix.payload(), walk);
     }
     UnitOutcome outcome;
     {

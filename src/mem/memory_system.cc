@@ -23,6 +23,12 @@ pageBase(Addr addr)
     return addr & ~(pageBytes - 1);
 }
 
+inline size_t
+pageWord(Addr addr)
+{
+    return static_cast<size_t>((addr & (pageBytes - 1)) >> 3);
+}
+
 } // namespace
 
 MemorySystem::MemorySystem(const MemorySystemConfig &config,
@@ -179,6 +185,7 @@ void
 MemorySystem::resetHeap()
 {
     dramPages_.clear();
+    goldenBytes_.reset();
     heapNext_ = 0x10000;
     for (auto &cache : l1d_)
         cache->invalidateAll();
@@ -187,34 +194,40 @@ MemorySystem::resetHeap()
     l3_->invalidateAll();
 }
 
-uint64_t *
-MemorySystem::dramWordSlot(Addr addr)
-{
-    auto &page = dramPages_[pageBase(addr)];
-    if (page.empty())
-        page.assign(pageWords, 0);
-    return &page[(addr & (pageBytes - 1)) >> 3];
-}
+// Lines never straddle pages (both are powers of two with lineBytes <=
+// pageBytes), so one page lookup serves a whole line.
 
 void
 MemorySystem::dramReadLine(Addr line_addr, std::vector<uint64_t> &out)
 {
-    // Lines never straddle pages (both are powers of two with
-    // lineBytes <= pageBytes), so one page lookup serves the whole line.
     const size_t words = config_.lineBytes / 8;
     out.resize(words);
-    const uint64_t *slot = dramWordSlot(line_addr);
-    for (size_t i = 0; i < words; ++i)
-        out[i] = slot[i];
+    DramPage &page = dramPages_[pageBase(line_addr)];
+    if (!page.golden.empty()) {
+        page.golden.copy(pageWord(line_addr), words, out.data());
+        return;
+    }
+    if (page.words.empty())
+        page.words.assign(pageWords, 0);
+    std::copy_n(&page.words[pageWord(line_addr)], words, out.data());
 }
 
 void
 MemorySystem::dramWriteLine(Addr line_addr,
                             const std::vector<uint64_t> &line)
 {
-    uint64_t *slot = dramWordSlot(line_addr);
-    for (size_t i = 0; i < line.size(); ++i)
-        slot[i] = line[i];
+    DramPage &page = dramPages_[pageBase(line_addr)];
+    if (page.words.empty()) {
+        page.words.resize(pageWords);
+        if (!page.golden.empty()) {
+            // First write to a borrowed page: copy it out of the image,
+            // which every hierarchy loaded from it still reads.
+            page.golden.copy(0, pageWords, page.words.data());
+            page.golden = WordView();
+            telemetry::count(telemetry::Counter::DramPagesCopied);
+        }
+    }
+    std::copy(line.begin(), line.end(), &page.words[pageWord(line_addr)]);
 }
 
 void
@@ -535,14 +548,16 @@ MemorySystem::visit(Archive &ar)
 
     // DRAM pages in ascending address order: the map is hash-ordered,
     // so the keys are collected and sorted first to keep the stream
-    // bytes a pure function of the simulated state.
+    // bytes a pure function of the simulated state. Borrowed and owned
+    // pages save the same bytes; a load borrows every page.
     std::vector<Addr> pages;
     if (ar.loading()) {
         dramPages_.clear();
+        goldenBytes_ = ar.owner();
     } else {
         pages.reserve(dramPages_.size());
-        for (const auto &[base, words] : dramPages_) {
-            (void)words;
+        for (const auto &[base, page] : dramPages_) {
+            (void)page;
             pages.push_back(base);
         }
         std::sort(pages.begin(), pages.end());
@@ -552,9 +567,12 @@ MemorySystem::visit(Archive &ar)
     for (uint64_t i = 0; i < count && ar.ok(); ++i) {
         Addr base = ar.loading() ? 0 : pages[i];
         ar.u64(base);
-        std::vector<uint64_t> &page = dramPages_[base];
-        ar.words(page);
-        XSER_ASSERT(page.size() == pageWords,
+        DramPage &page = dramPages_[base];
+        if (page.words.empty())
+            ar.borrowWords(page.golden);
+        else
+            ar.words(page.words);
+        XSER_ASSERT(page.golden.size() + page.words.size() == pageWords,
                     "snapshot DRAM page has wrong word count");
     }
 }

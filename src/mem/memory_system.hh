@@ -129,7 +129,9 @@ class MemorySystem
      * address order, so the bytes are independent of hash order), the
      * heap bump pointer, the access/cycle accumulators, the scrub
      * cursors, and the delivery counters. Loading needs an identically
-     * configured hierarchy (validated, fatal on mismatch).
+     * configured hierarchy (validated, fatal on mismatch). A load
+     * borrows the DRAM pages from the archive's input and holds a share
+     * of its owner; a page is copied out on its first write.
      */
     void visit(Archive &ar);
 
@@ -202,7 +204,6 @@ class MemorySystem
     /** DRAM access helpers (backing store is authoritative + ECC'd). */
     void dramReadLine(Addr line_addr, std::vector<uint64_t> &out);
     void dramWriteLine(Addr line_addr, const std::vector<uint64_t> &line);
-    uint64_t *dramWordSlot(Addr addr);
 
     MemorySystemConfig config_;
     EdacReporter *reporter_;
@@ -216,14 +217,31 @@ class MemorySystem
     std::vector<std::unique_ptr<RefetchableArray>> tlb_;
 
     /**
-     * DRAM: 4 KiB pages of 512 words, allocated on first touch.
+     * A 4 KiB DRAM page of 512 words: borrowed from the loaded golden
+     * image until its first write, owned from then on. Exactly one of
+     * the two is non-empty.
+     */
+    struct DramPage {
+        WordView golden;             ///< words inside *goldenBytes_
+        std::vector<uint64_t> words; ///< this hierarchy's own copy
+    };
+
+    /**
+     * DRAM pages, allocated on first touch (a read of an absent page
+     * adds a zero page) or borrowed by a load.
      *
      * Point lookups only -- this map must never be iterated (hash
      * order would be a hidden input to any walk over it). xser-lint's
      * unordered-iter rule guards the loops; the declaration itself is
      * justified in tools/xser-lint-allow.txt.
      */
-    std::unordered_map<Addr, std::vector<uint64_t>> dramPages_;
+    std::unordered_map<Addr, DramPage> dramPages_;
+
+    /**
+     * The image the borrowed pages point into. Only ever read, so
+     * every hierarchy loaded from one image shares it without locks.
+     */
+    std::shared_ptr<const std::string> goldenBytes_;
 
     Addr heapNext_ = 0x10000;  ///< bump pointer (low pages reserved)
     uint64_t cycles_ = 0;

@@ -15,7 +15,10 @@
  *  - byte strings behind a u32, u64, or varint length prefix;
  *  - u64-counted word and byte vectors -- the word path is one memcpy
  *    on little-endian hosts, because it carries the multi-megabyte
- *    cache and DRAM arrays of every checkpoint.
+ *    cache and DRAM arrays of every checkpoint;
+ *  - the same u64-counted words left in place (WordView): a load may
+ *    borrow them from an input whose owner it shares
+ *    (Archive::borrowWords) instead of copying them.
  *
  * The encoding is platform-independent by construction (no host
  * endianness or padding leaks into the bytes), so two hosts encoding
@@ -37,12 +40,60 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
 
 namespace xser {
+
+/**
+ * u64 words left in their stream encoding (little-endian, at any
+ * alignment) inside bytes the view does not own. Words sit at any
+ * offset of a stream (a campaign image's DRAM pages sit behind the
+ * 36-byte envelope header), so they are decoded through memcpy, never
+ * read through a uint64_t pointer.
+ */
+class WordView
+{
+  public:
+    WordView() = default;
+    WordView(const char *bytes, size_t count)
+        : bytes_(bytes), count_(count)
+    {
+    }
+
+    size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+
+    /** The words as stream bytes (size() * 8 of them). */
+    std::string_view bytes() const { return {bytes_, count_ * 8}; }
+
+    /** Decode words [first, first + count) into `out`. */
+    void
+    copy(size_t first, size_t count, uint64_t *out) const
+    {
+        const char *at = bytes_ + first * 8;
+        if constexpr (std::endian::native == std::endian::little) {
+            if (count > 0)
+                std::memcpy(out, at, count * 8);
+        } else {
+            for (size_t i = 0; i < count; ++i) {
+                uint64_t word = 0;
+                for (unsigned b = 0; b < 8; ++b) {
+                    const auto byte = static_cast<uint8_t>(*at++);
+                    word |= static_cast<uint64_t>(byte) << (8 * b);
+                }
+                out[i] = word;
+            }
+        }
+    }
+
+  private:
+    const char *bytes_ = nullptr;
+    size_t count_ = 0;
+};
 
 /** Append-only little-endian encoder over a std::string. */
 class ByteWriter
@@ -107,6 +158,14 @@ class ByteWriter
             for (const uint64_t word : words)
                 u64(word);
         }
+    }
+
+    /** u64 count, then the words (their bytes already are the stream). */
+    void
+    words(const WordView &view)
+    {
+        u64(view.size());
+        raw(view.bytes());
     }
 
     /** u64 count, then the bytes. */
@@ -220,28 +279,25 @@ class ByteReader
     void
     words(std::vector<uint64_t> &out)
     {
+        const WordView view = wordView();
+        out.resize(view.size());
+        view.copy(0, view.size(), out.data());
+    }
+
+    /** u64-counted words left in the input (empty once poisoned). */
+    WordView
+    wordView()
+    {
         const uint64_t count = u64();
         // Validate the count before multiplying: a corrupt prefix must
         // not overflow into a passing bounds check (or a huge resize).
         if (count > remaining() / 8)
             fail();
         const uint8_t *bytes = take(count * 8);
-        if (bytes == nullptr) {
-            out.clear();
-            return;
-        }
-        out.resize(static_cast<size_t>(count));
-        if constexpr (std::endian::native == std::endian::little) {
-            if (count > 0)
-                std::memcpy(out.data(), bytes,
-                            static_cast<size_t>(count) * 8);
-        } else {
-            for (uint64_t &word : out) {
-                word = 0;
-                for (unsigned i = 0; i < 8; ++i)
-                    word |= static_cast<uint64_t>(*bytes++) << (8 * i);
-            }
-        }
+        if (bytes == nullptr)
+            return {};
+        return WordView(reinterpret_cast<const char *>(bytes),
+                        static_cast<size_t>(count));
     }
 
     /** u64-counted bytes into `out` (replacing it; empty once poisoned). */
@@ -305,7 +361,20 @@ class Archive
     explicit Archive(ByteWriter &writer) : writer_(&writer) {}
     explicit Archive(ByteReader &reader) : reader_(&reader) {}
 
+    /**
+     * Load from `reader`, whose input lies inside `*owner`: the archive
+     * then lends views of its words (borrowWords), which stay valid for
+     * as long as the borrower holds a share of owner().
+     */
+    Archive(ByteReader &reader, std::shared_ptr<const std::string> owner)
+        : reader_(&reader), owner_(std::move(owner))
+    {
+    }
+
     bool loading() const { return reader_ != nullptr; }
+
+    /** What keeps a loading input alive (null when saving or unowned). */
+    const std::shared_ptr<const std::string> &owner() const { return owner_; }
 
     /** False once a loading archive's reader is poisoned. */
     bool ok() const { return reader_ == nullptr || reader_->ok(); }
@@ -388,6 +457,23 @@ class Archive
             reader_->words(words);
     }
 
+    /**
+     * Words a load borrows instead of copying, on the wire exactly as
+     * words(): saving writes `view`'s words; loading points `view` into
+     * the input, valid while a share of owner() is held. A loading
+     * archive without an owner cannot lend and rejects.
+     */
+    void
+    borrowWords(WordView &view)
+    {
+        if (writer_ != nullptr)
+            writer_->words(view);
+        else if (owner_ == nullptr)
+            reject("borrowed words need an owned input");
+        else
+            view = reader_->wordView();
+    }
+
     void
     bytes(std::vector<uint8_t> &bytes)
     {
@@ -426,6 +512,7 @@ class Archive
 
     ByteWriter *writer_ = nullptr;
     ByteReader *reader_ = nullptr;
+    std::shared_ptr<const std::string> owner_;
     const char *rejection_ = nullptr;
 };
 

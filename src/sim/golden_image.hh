@@ -8,6 +8,7 @@
 #define XSER_SIM_GOLDEN_IMAGE_HH
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -21,40 +22,52 @@ struct GoldenImage {
     /** The state's visit() chain, for either archive direction. */
     using Walk = std::function<void(Archive &)>;
 
-    std::string bytes;
+    /** Shared with every state loaded from it that borrows its words. */
+    std::shared_ptr<const std::string> bytes;
 
     /**
      * Save `walk` into one buffer, reserved past the largest state and
      * glibc's 32 MiB mmap ceiling so it never regrows through heap
-     * chunks whose freed copies stay resident.
+     * chunks whose freed copies stay resident. The bytes are the
+     * caller's to wrap (the campaign seals them into an envelope).
      */
-    static GoldenImage
-    capture(const Walk &walk)
+    static std::string
+    save(const Walk &walk)
     {
         ByteWriter writer;
         writer.reserve(size_t(64) << 20);
         Archive archive(writer);
         walk(archive);
-        return GoldenImage{writer.take()};
+        return writer.take();
+    }
+
+    /** Save `walk` as an image to load back later. */
+    static GoldenImage
+    capture(const Walk &walk)
+    {
+        return GoldenImage{std::make_shared<const std::string>(save(walk))};
     }
 
     /**
-     * Load `image` (an image's bytes, or an envelope payload carrying
-     * them) in place through `walk`. Fatal unless the walk consumes
-     * exactly them: an image is this process's own or was checksummed.
+     * Load `image` (all of `*owner`, or the envelope payload inside it)
+     * in place through `walk`. The loaded state may borrow the image's
+     * words (Archive::borrowWords), keeping a share of `owner` while it
+     * does. Fatal unless the walk consumes exactly the image: an image
+     * is this process's own or was checksummed.
      */
     static void
-    load(std::string_view image, const Walk &walk)
+    load(std::shared_ptr<const std::string> owner, std::string_view image,
+         const Walk &walk)
     {
         ByteReader reader(image);
-        Archive archive(reader);
+        Archive archive(reader, std::move(owner));
         walk(archive);
         if (!reader.atEnd())
             fatal(reader.ok() ? "golden image not fully consumed by load"
                               : "golden image underran during load");
     }
 
-    void loadInto(const Walk &walk) const { load(bytes, walk); }
+    void loadInto(const Walk &walk) const { load(bytes, *bytes, walk); }
 };
 
 } // namespace xser

@@ -20,6 +20,7 @@ counterName(Counter counter)
       case Counter::CheckpointsOpened: return "checkpoints_opened";
       case Counter::CheckpointOpenedBytes:
         return "checkpoint_opened_bytes";
+      case Counter::DramPagesCopied: return "dram_pages_copied";
       case Counter::EdacCorrected: return "edac_corrected";
       case Counter::EdacUncorrected: return "edac_uncorrected";
       case Counter::ScrubPasses: return "scrub_passes";

@@ -40,6 +40,7 @@ enum class Counter : uint32_t {
     CheckpointSealedBytes, ///< total sealed envelope bytes
     CheckpointsOpened,     ///< units restored from an envelope
     CheckpointOpenedBytes, ///< envelope bytes restored, one per unit
+    DramPagesCopied,       ///< borrowed DRAM pages copied on first write
     EdacCorrected,         ///< CE posts through EdacReporter
     EdacUncorrected,       ///< UE posts through EdacReporter
     ScrubPasses,           ///< scrubber advances that scrubbed lines

@@ -4,8 +4,8 @@
 # that would otherwise narrow into a smaller integer, an AVF burst that
 # is empty or wider than a stored word, numbers that are not finite or
 # have no clock period, a detached client run asked for files it
-# would never write, and bench_paper given an XSER_SCALE or XSER_JOBS
-# it cannot use.
+# would never write, and bench_paper given an XSER_FULL, XSER_SCALE or
+# XSER_JOBS it cannot use.
 #
 #   check_cli_refusals.sh XSER XSER_SERVER XSER_WORKER XSER_CLIENT \
 #                         XSER_TRACE BENCH_PAPER
@@ -95,11 +95,13 @@ refuse "--detach conflicts with --trace and --metrics" \
 refuse "--detach conflicts with --trace and --metrics" \
     "$CLIENT" run --port 1 --detach --metrics out.json
 
-# Not a number, trailing text, outside (0, 1e17] (1e18 would overflow
-# the ablations' event targets), and job counts outside --jobs' range.
-for setting in XSER_SCALE=abc XSER_SCALE= XSER_SCALE=2x XSER_SCALE=0 \
-    XSER_SCALE=-1 XSER_SCALE=nan XSER_SCALE=1e18 XSER_JOBS=abc \
-    XSER_JOBS=4x XSER_JOBS=0 XSER_JOBS=-1 XSER_JOBS=1025; do
+# A full-scale switch other than 0 or 1, a scale that is not a number,
+# has trailing text or lies outside (0, 1e17] (1e18 would overflow the
+# ablations' event targets), and job counts outside --jobs' range.
+for setting in XSER_FULL=yes XSER_FULL=10 XSER_FULL= XSER_SCALE=abc \
+    XSER_SCALE= XSER_SCALE=2x XSER_SCALE=0 XSER_SCALE=-1 XSER_SCALE=nan \
+    XSER_SCALE=1e18 XSER_JOBS=abc XSER_JOBS=4x XSER_JOBS=0 XSER_JOBS=-1 \
+    XSER_JOBS=1025; do
     refuse_env "$setting"
 done
 

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/beam_campaign.hh"
@@ -24,6 +26,7 @@
 #include "core/test_session.hh"
 #include "cpu/xgene2_platform.hh"
 #include "sim/golden_image.hh"
+#include "sim/hash.hh"
 #include "telemetry/metrics.hh"
 #include "trace/trace_writer.hh"
 
@@ -208,7 +211,7 @@ TEST(CheckpointRoundTrip, RestoreIsASnapshotFixedPoint)
 
     cpu::XGene2Platform restored(key.platform);
     GoldenPrefix adopted = loadPrefix(first, restored, key);
-    EXPECT_TRUE(imageOf(adopted, restored, key).bytes == first.bytes);
+    EXPECT_TRUE(*imageOf(adopted, restored, key).bytes == *first.bytes);
 }
 
 TEST(CheckpointRoundTrip, ForkedContinuationMatchesStraightRun)
@@ -455,6 +458,175 @@ TEST(CheckpointRoundTrip, OnePrefixServesEveryOperatingPoint)
     expectSessionsBitIdentical(expected, actual);
     EXPECT_TRUE(expected == actual);
     EXPECT_EQ(expected.point.frequencyHz, 900e6);
+}
+
+/* ------------- golden pages: borrowed, copied on first write ------------ */
+
+/**
+ * A two-core platform with a 64 KiB L3, so that writing the golden
+ * pages again evicts dirty lines into DRAM long before a flush.
+ */
+cpu::PlatformConfig
+smallPlatform()
+{
+    cpu::PlatformConfig config;
+    config.memory.numCores = 2;
+    config.memory.l1iBytes = 4 * 1024;
+    config.memory.l1dBytes = 4 * 1024;
+    config.memory.l2Bytes = 16 * 1024;
+    config.memory.l3Bytes = 64 * 1024;
+    config.memory.tlbWordsPerCore = 64;
+    return config;
+}
+
+/** Twice the L3: 32 DRAM pages of distinct words. */
+constexpr size_t goldenPageCount = 32;
+constexpr size_t goldenBytes = goldenPageCount * 4096;
+
+uint64_t
+goldenWord(mem::Addr addr)
+{
+    return addr * 0x9e3779b97f4a7c15ULL;
+}
+
+/** Every word of the golden pages. */
+std::vector<uint64_t>
+readGoldenPages(cpu::XGene2Platform &platform, mem::Addr base)
+{
+    std::vector<uint64_t> words;
+    for (mem::Addr addr = base; addr < base + goldenBytes; addr += 8)
+        words.push_back(platform.memory().readWord(1, addr));
+    return words;
+}
+
+/**
+ * A platform whose DRAM holds the golden pages and whose caches are
+ * flushed: every read of a page loaded from its image reaches DRAM.
+ */
+struct GoldenSource {
+    cpu::XGene2Platform platform{smallPlatform()};
+    mem::Addr base = platform.memory().allocate(goldenBytes, "golden");
+
+    GoldenSource()
+    {
+        for (mem::Addr addr = base; addr < base + goldenBytes; addr += 8)
+            platform.memory().writeWord(0, addr, goldenWord(addr));
+        platform.memory().flushAll();
+    }
+};
+
+GoldenImage::Walk
+walkOf(cpu::XGene2Platform &platform)
+{
+    return [&platform](Archive &ar) { platform.visit(ar); };
+}
+
+TEST(GoldenPages, APlatformsWritesReachNeitherItsSiblingNorTheImage)
+{
+    GoldenSource source;
+    const GoldenImage image = GoldenImage::capture(walkOf(source.platform));
+    const uint64_t image_hash = fnv1a(*image.bytes);
+    cpu::XGene2Platform writer(smallPlatform());
+    cpu::XGene2Platform reader(smallPlatform());
+    image.loadInto(walkOf(writer));
+    image.loadInto(walkOf(reader));
+    const std::string reader_bytes = GoldenImage::save(walkOf(reader));
+
+    // The writer overwrites every golden word twice (dirty L3 victims
+    // reach DRAM on the way) and flushes on its own thread, while this
+    // thread reads the image, as pool units share one.
+    std::thread writing([&] {
+        for (const uint64_t salt : {1ULL, 2ULL}) {
+            for (mem::Addr addr = source.base;
+                 addr < source.base + goldenBytes; addr += 8)
+                writer.memory().writeWord(0, addr, goldenWord(addr) ^ salt);
+        }
+        writer.memory().flushAll();
+    });
+    const uint64_t concurrent_hash = fnv1a(*image.bytes);
+    writing.join();
+
+    EXPECT_EQ(concurrent_hash, image_hash);
+    EXPECT_EQ(fnv1a(*image.bytes), image_hash);
+    EXPECT_TRUE(GoldenImage::save(walkOf(reader)) == reader_bytes);
+    const std::vector<uint64_t> written = readGoldenPages(writer, source.base);
+    const std::vector<uint64_t> golden = readGoldenPages(reader, source.base);
+    for (size_t i = 0; i < golden.size(); ++i) {
+        const uint64_t expected = goldenWord(source.base + 8 * i);
+        ASSERT_EQ(written[i], expected ^ 2) << "word " << i;
+        ASSERT_EQ(golden[i], expected) << "word " << i;
+    }
+}
+
+TEST(GoldenPages, BorrowedPagesOutliveEveryOtherOwnerOfTheImage)
+{
+    cpu::XGene2Platform platform(smallPlatform());
+    mem::Addr base = 0;
+    {
+        GoldenSource source;
+        base = source.base;
+        GoldenImage::capture(walkOf(source.platform))
+            .loadInto(walkOf(platform));
+    }
+    // The image and the platform it was captured from are gone; the
+    // borrowed pages still read the golden words (ASan would report a
+    // freed image here).
+    const std::vector<uint64_t> words = readGoldenPages(platform, base);
+    for (size_t i = 0; i < words.size(); ++i)
+        ASSERT_EQ(words[i], goldenWord(base + 8 * i)) << "word " << i;
+}
+
+TEST(GoldenPages, ReadingAPageTheImageLacksAddsAZeroPage)
+{
+    GoldenSource source;
+    const GoldenImage image = GoldenImage::capture(walkOf(source.platform));
+    cpu::XGene2Platform loaded(smallPlatform());
+    image.loadInto(walkOf(loaded));
+
+    // The same read on the platform that owns its pages and on one that
+    // borrows them: both add one zero page and then save the same bytes.
+    const mem::Addr beyond = source.base + goldenBytes;
+    EXPECT_EQ(source.platform.memory().readWord(0, beyond), 0u);
+    EXPECT_EQ(loaded.memory().readWord(0, beyond), 0u);
+    const std::string saved = GoldenImage::save(walkOf(loaded));
+    EXPECT_TRUE(saved == GoldenImage::save(walkOf(source.platform)));
+    EXPECT_EQ(saved.size(), image.bytes->size() + 8 + 8 + 4096);
+}
+
+TEST(GoldenPages, CopiesCountOnePerFirstWriteToABorrowedPage)
+{
+    GoldenSource source;
+    const GoldenImage image = GoldenImage::capture(walkOf(source.platform));
+    cpu::XGene2Platform platform(smallPlatform());
+    image.loadInto(walkOf(platform));
+    mem::MemorySystem &memory = platform.memory();
+    telemetry::MetricShard shard;
+    const telemetry::ShardScope scope(&shard);
+    const auto copies = [&shard] {
+        return counterOf(shard, telemetry::Counter::DramPagesCopied);
+    };
+
+    readGoldenPages(platform, source.base);
+    memory.flushAll();
+    EXPECT_EQ(copies(), 0u) << "reads copy nothing";
+
+    memory.writeWord(0, source.base, 1);
+    memory.writeWord(0, source.base + 8, 2);
+    memory.writeWord(0, source.base + 4096, 3);
+    memory.flushAll();
+    EXPECT_EQ(copies(), 2u) << "one copy per page first written";
+
+    memory.writeWord(0, source.base + 16, 4);
+    memory.flushAll();
+    EXPECT_EQ(copies(), 2u) << "an owned page is not copied again";
+
+    memory.writeWord(0, source.base + goldenBytes, 5);
+    memory.flushAll();
+    EXPECT_EQ(copies(), 2u) << "a page the image lacks starts zeroed";
+
+    source.platform.memory().writeWord(0, source.base, 6);
+    source.platform.memory().flushAll();
+    EXPECT_EQ(copies(), 2u) << "a platform that never loaded copies none";
 }
 
 /**

@@ -105,7 +105,7 @@ TEST(Platform, LoadingThroughTheWalkEmptiesTheEdacReporter)
 
     image.loadInto(walk);
     EXPECT_EQ(platform.edac().totalUpsets(), 0u);
-    EXPECT_TRUE(GoldenImage::capture(walk).bytes == image.bytes);
+    EXPECT_TRUE(GoldenImage::save(walk) == *image.bytes);
 }
 
 TEST(Core, TouchesStayWithinFootprint)

@@ -425,8 +425,7 @@ runOwnerMix(bool fast_path, OwnerMixRun &out)
                 target.array->read(word);
         }
     }
-    out.snapshot =
-        GoldenImage::capture([&](Archive &ar) { memory.visit(ar); }).bytes;
+    out.snapshot = GoldenImage::save([&](Archive &ar) { memory.visit(ar); });
 }
 
 TEST(MemorySystem, OneL2OwnerPerLineUnderFlipsAndScrubsAnyFastPath)

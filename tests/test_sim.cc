@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -341,19 +342,20 @@ TEST(GoldenImage, LoadsTheCapturedStateBackInPlace)
     EXPECT_EQ(state.value, -2.5);
     EXPECT_EQ(state.name, "cg");
     EXPECT_EQ(state.words, (std::vector<uint64_t>{1, 2, 3}));
-    EXPECT_EQ(GoldenImage::capture(walk).bytes, image.bytes);
+    EXPECT_EQ(GoldenImage::save(walk), *image.bytes);
 }
 
 TEST(GoldenImageDeath, ALoadMustConsumeExactlyTheImage)
 {
     Sample state{42, 7, true, -2.5, "cg", {1, 2, 3}};
     const auto walk = [&state](Archive &ar) { state.visit(ar); };
-    const std::string bytes = GoldenImage::capture(walk).bytes;
-    EXPECT_EXIT(GoldenImage::load(bytes + '\0', walk),
+    const auto padded =
+        std::make_shared<const std::string>(GoldenImage::save(walk) + '\0');
+    EXPECT_EXIT(GoldenImage::load(padded, *padded, walk),
                 ::testing::ExitedWithCode(1),
                 "golden image not fully consumed by load");
-    const std::string_view truncated(bytes.data(), bytes.size() - 1);
-    EXPECT_EXIT(GoldenImage::load(truncated, walk),
+    const std::string_view truncated(padded->data(), padded->size() - 2);
+    EXPECT_EXIT(GoldenImage::load(padded, truncated, walk),
                 ::testing::ExitedWithCode(1),
                 "golden image underran during load");
 }

@@ -278,7 +278,7 @@ savedState(cpu::XGene2Platform &platform, workloads::Workload &workload)
         platform.visit(ar);
         workload.visit(ar, platform.memory());
     };
-    return GoldenImage::capture(walk).bytes;
+    return GoldenImage::save(walk);
 }
 
 /** RebuildRestoresTheGoldenStateInPlace for one workload. */
