@@ -88,7 +88,8 @@ BM_CacheReadWordHit(benchmark::State &state)
     config.sizeBytes = 256 * 1024;
     config.associativity = 8;
     mem::Cache cache(config, &reporter);
-    std::vector<uint64_t> line(8, 42);
+    mem::LineData line;
+    line.fill(42);
     for (mem::Addr addr = 0; addr < 64 * 1024; addr += 64)
         cache.allocate(addr, line, false);
     mem::Addr addr = 0;

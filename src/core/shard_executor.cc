@@ -79,7 +79,10 @@ ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
     std::unique_ptr<trace::TraceBuffer> buffer;
     if (traceBufferEvents_ > 0)
         buffer = std::make_unique<trace::TraceBuffer>(traceBufferEvents_);
-    cpu::XGene2Platform platform(config_.platform);
+    cpu::XGene2Platform platform = [&] {
+        const telemetry::ScopedPhase timer(telemetry::Phase::PlatformBuild);
+        return cpu::XGene2Platform(config_.platform);
+    }();
     TestSession session(&platform, unitConfig(session_index,
                                               replicate_index,
                                               buffer.get()));

@@ -11,8 +11,22 @@
 
 namespace xser::mem {
 
+namespace {
+
+/** config, once its line size is the one LineData holds. */
+const CacheConfig &
+checkedLineBytes(const CacheConfig &config)
+{
+    if (config.lineBytes != sizeof(LineData))
+        fatal(msg("cache '", config.name, "': CacheConfig.lineBytes must be ",
+                  sizeof(LineData), ", got ", config.lineBytes));
+    return config;
+}
+
+} // namespace
+
 Cache::Cache(const CacheConfig &config, EdacReporter *reporter)
-    : config_(config),
+    : config_(checkedLineBytes(config)),
       geometry_(config.sizeBytes, config.lineBytes, config.associativity),
       reporter_(reporter),
       dataArray_(config.name + ".data",
@@ -81,35 +95,44 @@ Cache::isDirty(Addr addr) const
     return wayDirty(addr, way);
 }
 
+void
+Cache::writeLine(Addr addr, const LineData &line, int way)
+{
+    XSER_ASSERT(way >= 0, msg("writeLine miss in ", config_.name));
+    const size_t set = geometry_.setIndex(addr);
+    auto &slot = meta_[set * config_.associativity + way];
+    useCounter_ += lineWords;
+    slot.lastUse = useCounter_;
+    if (config_.writePolicy == WritePolicy::WriteBack)
+        slot.dirty = true;
+    dataArray_.writeLine(lineWordBase(set, way), line);
+}
+
 bool
-Cache::readLine(Addr addr, std::vector<uint64_t> &out, int way)
+Cache::readOut(size_t base, LineData &out)
+{
+    bool uncorrectable = false;
+    dataArray_.readLine(base, out, [&](const ReadOutcome &outcome) {
+        postEdac(outcome);
+        if (outcomeUncorrectable(outcome))
+            uncorrectable = true;
+    });
+    return uncorrectable;
+}
+
+bool
+Cache::readLine(Addr addr, LineData &out, int way)
 {
     XSER_ASSERT(way >= 0, msg("readLine miss in ", config_.name));
     const size_t set = geometry_.setIndex(addr);
     auto &line = meta_[set * config_.associativity + way];
     line.lastUse = ++useCounter_;
-
-    const size_t base = lineWordBase(set, way);
-    const size_t words = geometry_.wordsPerLine();
-    out.resize(words);
-    bool uncorrectable = false;
-    for (size_t i = 0; i < words; ++i) {
-        ReadOutcome outcome = dataArray_.read(base + i);
-        if (outcome.status != ecc::CheckStatus::Clean) {
-            postEdac(outcome);
-            if (outcomeUncorrectable(outcome))
-                uncorrectable = true;
-        }
-        out[i] = outcome.value;
-    }
-    return uncorrectable;
+    return readOut(lineWordBase(set, way), out);
 }
 
 EvictedLine
-Cache::allocate(Addr addr, const std::vector<uint64_t> &line, bool dirty)
+Cache::allocate(Addr addr, const LineData &line, bool dirty)
 {
-    XSER_ASSERT(line.size() == geometry_.wordsPerLine(),
-                "allocate with wrong line length");
     const size_t set = geometry_.setIndex(addr);
     // A present line always has a nonzero filter bucket, so the cheap
     // filter test screens the double-allocate invariant without a tag
@@ -128,18 +151,8 @@ Cache::allocate(Addr addr, const std::vector<uint64_t> &line, bool dirty)
         evicted.address = geometry_.lineAddress(slot.tag, set);
         if (slot.dirty) {
             // Checked read-out: a writeback passes through the codec.
-            const size_t base = lineWordBase(set, way);
-            const size_t words = geometry_.wordsPerLine();
-            evicted.data.resize(words);
-            for (size_t i = 0; i < words; ++i) {
-                ReadOutcome outcome = dataArray_.read(base + i);
-                if (outcome.status != ecc::CheckStatus::Clean) {
-                    postEdac(outcome);
-                    if (outcomeUncorrectable(outcome))
-                        evicted.hadUncorrectable = true;
-                }
-                evicted.data[i] = outcome.value;
-            }
+            evicted.hadUncorrectable =
+                readOut(lineWordBase(set, way), evicted.data);
             ++stats_.writebacks;
         }
     }
@@ -152,9 +165,7 @@ Cache::allocate(Addr addr, const std::vector<uint64_t> &line, bool dirty)
     slot.dirty = dirty;
     slot.lastUse = ++useCounter_;
 
-    const size_t base = lineWordBase(set, way);
-    for (size_t i = 0; i < line.size(); ++i)
-        dataArray_.write(base + i, line[i]);
+    dataArray_.writeLine(lineWordBase(set, way), line);
     return evicted;
 }
 
@@ -206,18 +217,15 @@ Cache::scrubLine(size_t line_index)
     result.address = geometry_.lineAddress(slot.tag, set);
 
     const size_t base = lineWordBase(set, way);
-    const size_t words = geometry_.wordsPerLine();
-    if (dataArray_.fastPath() &&
-        !dataArray_.anyCorruptInRange(base, words)) {
+    if (dataArray_.fastPath() && !dataArray_.lineCorrupt(base)) {
         // A patrol pass over a clean line is pure reads of clean words:
         // no EDAC posting, no trace, no invalidation, and the read-out
         // data is only consumed on a dirty uncorrectable hit -- which a
         // clean line cannot be. Skip the scan entirely.
         return result;
     }
-    result.data.resize(words);
     bool found_error = false;
-    for (size_t i = 0; i < words; ++i) {
+    for (size_t i = 0; i < lineWords; ++i) {
         ReadOutcome outcome = dataArray_.read(base + i);
         postEdac(outcome);
         if (outcomeUncorrectable(outcome))
@@ -246,10 +254,10 @@ Cache::scrubLine(size_t line_index)
     return result;
 }
 
-std::vector<std::pair<Addr, std::vector<uint64_t>>>
+std::vector<std::pair<Addr, LineData>>
 Cache::drainAll()
 {
-    std::vector<std::pair<Addr, std::vector<uint64_t>>> dirty_lines;
+    std::vector<std::pair<Addr, LineData>> dirty_lines;
     for (size_t index = 0; index < meta_.size(); ++index) {
         auto &slot = meta_[index];
         if (!slot.valid)
@@ -258,16 +266,9 @@ Cache::drainAll()
             const size_t set = index / config_.associativity;
             const unsigned way =
                 static_cast<unsigned>(index % config_.associativity);
-            const size_t base = lineWordBase(set, way);
-            const size_t words = geometry_.wordsPerLine();
-            std::vector<uint64_t> data(words);
-            for (size_t i = 0; i < words; ++i) {
-                ReadOutcome outcome = dataArray_.read(base + i);
-                postEdac(outcome);
-                data[i] = outcome.value;
-            }
-            dirty_lines.emplace_back(
-                geometry_.lineAddress(slot.tag, set), std::move(data));
+            dirty_lines.emplace_back(geometry_.lineAddress(slot.tag, set),
+                                     LineData{});
+            readOut(lineWordBase(set, way), dirty_lines.back().second);
             ++stats_.writebacks;
         }
         slot.valid = false;

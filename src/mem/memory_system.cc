@@ -39,6 +39,9 @@ MemorySystem::MemorySystem(const MemorySystemConfig &config,
     if (config_.numCores == 0 || config_.numCores % 2 != 0)
         fatal(msg("core count must be a positive even number, got ",
                   config_.numCores));
+    if (config_.lineBytes != sizeof(LineData))
+        fatal(msg("MemorySystemConfig.lineBytes must be ", sizeof(LineData),
+                  ", got ", config_.lineBytes));
 
     for (unsigned core = 0; core < config_.numCores; ++core) {
         CacheConfig l1;
@@ -181,40 +184,24 @@ MemorySystem::allocate(size_t bytes, const std::string &tag)
     return base;
 }
 
-void
-MemorySystem::resetHeap()
-{
-    dramPages_.clear();
-    goldenBytes_.reset();
-    heapNext_ = 0x10000;
-    for (auto &cache : l1d_)
-        cache->invalidateAll();
-    for (auto &cache : l2_)
-        cache->invalidateAll();
-    l3_->invalidateAll();
-}
-
 // Lines never straddle pages (both are powers of two with lineBytes <=
 // pageBytes), so one page lookup serves a whole line.
 
 void
-MemorySystem::dramReadLine(Addr line_addr, std::vector<uint64_t> &out)
+MemorySystem::dramReadLine(Addr line_addr, LineData &out)
 {
-    const size_t words = config_.lineBytes / 8;
-    out.resize(words);
     DramPage &page = dramPages_[pageBase(line_addr)];
     if (!page.golden.empty()) {
-        page.golden.copy(pageWord(line_addr), words, out.data());
+        page.golden.copy(pageWord(line_addr), lineWords, out.data());
         return;
     }
     if (page.words.empty())
         page.words.assign(pageWords, 0);
-    std::copy_n(&page.words[pageWord(line_addr)], words, out.data());
+    std::copy_n(&page.words[pageWord(line_addr)], lineWords, out.data());
 }
 
 void
-MemorySystem::dramWriteLine(Addr line_addr,
-                            const std::vector<uint64_t> &line)
+MemorySystem::dramWriteLine(Addr line_addr, const LineData &line)
 {
     DramPage &page = dramPages_[pageBase(line_addr)];
     if (page.words.empty()) {
@@ -248,7 +235,7 @@ MemorySystem::snoopOtherL2s(unsigned writing_pair, Addr line_addr)
         if (way < 0)
             continue;
         if (other.wayDirty(line_addr, way)) {
-            std::vector<uint64_t> line;
+            LineData line;
             other.readLine(line_addr, line, way);
             writeLineToL3(line_addr, line);
         }
@@ -257,8 +244,7 @@ MemorySystem::snoopOtherL2s(unsigned writing_pair, Addr line_addr)
 }
 
 void
-MemorySystem::installL3(Addr line_addr, const std::vector<uint64_t> &line,
-                        bool dirty)
+MemorySystem::installL3(Addr line_addr, const LineData &line, bool dirty)
 {
     EvictedLine victim = l3_->allocate(line_addr, line, dirty);
     if (victim.valid && victim.dirty)
@@ -266,20 +252,18 @@ MemorySystem::installL3(Addr line_addr, const std::vector<uint64_t> &line,
 }
 
 void
-MemorySystem::writeLineToL3(Addr line_addr,
-                            const std::vector<uint64_t> &line)
+MemorySystem::writeLineToL3(Addr line_addr, const LineData &line)
 {
     const int way = l3_->findWay(line_addr);
     if (way >= 0) {
-        for (size_t i = 0; i < line.size(); ++i)
-            l3_->writeWord(line_addr + 8 * i, line[i], way);
+        l3_->writeLine(line_addr, line, way);
         return;
     }
     installL3(line_addr, line, true);
 }
 
 void
-MemorySystem::readLineFromL3(Addr line_addr, std::vector<uint64_t> &out)
+MemorySystem::readLineFromL3(Addr line_addr, LineData &out)
 {
     cycles_ += config_.l3HitCycles;
     const int way = l3_->findWay(line_addr);
@@ -314,8 +298,8 @@ MemorySystem::readLineFromL3(Addr line_addr, std::vector<uint64_t> &out)
 }
 
 void
-MemorySystem::installL2(unsigned pair, Addr line_addr,
-                        const std::vector<uint64_t> &line, bool dirty)
+MemorySystem::installL2(unsigned pair, Addr line_addr, const LineData &line,
+                        bool dirty)
 {
     EvictedLine victim = l2_[pair]->allocate(line_addr, line, dirty);
     if (victim.valid && victim.dirty)
@@ -323,8 +307,7 @@ MemorySystem::installL2(unsigned pair, Addr line_addr,
 }
 
 void
-MemorySystem::readLineFromL2(unsigned core, Addr line_addr,
-                             std::vector<uint64_t> &out)
+MemorySystem::readLineFromL2(unsigned core, Addr line_addr, LineData &out)
 {
     const unsigned pair = core / 2;
     Cache &cache = *l2_[pair];

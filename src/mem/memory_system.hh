@@ -43,7 +43,7 @@ namespace xser::mem {
 /** Static configuration of the hierarchy (defaults = Table 1). */
 struct MemorySystemConfig {
     unsigned numCores = 8;
-    size_t lineBytes = 64;
+    size_t lineBytes = 64;              ///< must be 64 (LineData)
     size_t l1iBytes = 32 * 1024;        ///< parity, refetchable
     size_t l1dBytes = 32 * 1024;        ///< parity, write-through
     unsigned l1dAssociativity = 4;
@@ -98,9 +98,6 @@ class MemorySystem
 
     /** Bump-allocate simulated memory (64-byte aligned). */
     Addr allocate(size_t bytes, const std::string &tag);
-
-    /** Release all allocations and clear the DRAM store and caches. */
-    void resetHeap();
 
     /** Read the 64-bit word at addr through core's hierarchy path. */
     uint64_t readWord(unsigned core, Addr addr);
@@ -182,18 +179,16 @@ class MemorySystem
 
   private:
     /** Fetch a full line into `out` from the L2/L3/DRAM path. */
-    void readLineFromL2(unsigned core, Addr line_addr,
-                        std::vector<uint64_t> &out);
-    void readLineFromL3(Addr line_addr, std::vector<uint64_t> &out);
+    void readLineFromL2(unsigned core, Addr line_addr, LineData &out);
+    void readLineFromL3(Addr line_addr, LineData &out);
 
     /** Install a line into L2/L3, spilling the victim downstream. */
-    void installL2(unsigned pair, Addr line_addr,
-                   const std::vector<uint64_t> &line, bool dirty);
-    void installL3(Addr line_addr, const std::vector<uint64_t> &line,
+    void installL2(unsigned pair, Addr line_addr, const LineData &line,
                    bool dirty);
+    void installL3(Addr line_addr, const LineData &line, bool dirty);
 
     /** Write a full line into L3 (allocating if needed). */
-    void writeLineToL3(Addr line_addr, const std::vector<uint64_t> &line);
+    void writeLineToL3(Addr line_addr, const LineData &line);
 
     /**
      * Snoop other L2s before an L2 miss reads L3 (for a read or a
@@ -202,8 +197,8 @@ class MemorySystem
     void snoopOtherL2s(unsigned writing_pair, Addr line_addr);
 
     /** DRAM access helpers (backing store is authoritative + ECC'd). */
-    void dramReadLine(Addr line_addr, std::vector<uint64_t> &out);
-    void dramWriteLine(Addr line_addr, const std::vector<uint64_t> &line);
+    void dramReadLine(Addr line_addr, LineData &out);
+    void dramWriteLine(Addr line_addr, const LineData &line);
 
     MemorySystemConfig config_;
     EdacReporter *reporter_;
@@ -249,7 +244,7 @@ class MemorySystem
     DeliveryCounters delivery_;
     size_t l2ScrubCursor_ = 0;
     size_t l3ScrubCursor_ = 0;
-    std::vector<uint64_t> lineScratch_;
+    LineData lineScratch_{};
 };
 
 } // namespace xser::mem

@@ -53,12 +53,4 @@ Scrubber::advance(Tick elapsed)
     }
 }
 
-void
-Scrubber::reset()
-{
-    l2Remainder_ = 0.0;
-    l3Remainder_ = 0.0;
-    linesScrubbed_ = 0;
-}
-
 } // namespace xser::mem

@@ -57,9 +57,6 @@ class Scrubber
 
     const ScrubberConfig &config() const { return config_; }
 
-    /** Reset pacing remainders (start of session). */
-    void reset();
-
   private:
     ScrubberConfig config_;
     MemorySystem *memory_;

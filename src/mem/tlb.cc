@@ -18,7 +18,8 @@ RefetchableArray::RefetchableArray(std::string name, size_t words,
 {
     XSER_ASSERT(reporter_ != nullptr,
                 "refetchable array needs an EDAC reporter");
-    reset();
+    for (size_t i = 0; i < array_.words(); ++i)
+        array_.write(i, fillValue(i));
 }
 
 uint64_t
@@ -56,15 +57,6 @@ void
 RefetchableArray::replace(size_t index)
 {
     array_.write(index, fillValue(index));
-}
-
-void
-RefetchableArray::reset()
-{
-    array_.reset();
-    for (size_t i = 0; i < array_.words(); ++i)
-        array_.write(i, fillValue(i));
-    repairs_ = 0;
 }
 
 } // namespace xser::mem

@@ -77,9 +77,6 @@ class RefetchableArray
     /** Number of parity-repair events so far. */
     uint64_t repairs() const { return repairs_; }
 
-    /** Re-initialize contents and statistics. */
-    void reset();
-
     /** Save or load checkpointable state (repair count + array). */
     void
     visit(Archive &ar)

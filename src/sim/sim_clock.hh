@@ -89,9 +89,6 @@ class SimClock
     /** Advance time by the given number of cycles at current frequency. */
     void advanceCycles(uint64_t cycles) { now_ += cycles * periodTicks_; }
 
-    /** Reset time to zero (new run). */
-    void reset() { now_ = 0; }
-
     /** Restore a previously observed time (checkpoint restore). */
     void setNow(Tick now) { now_ = now; }
 

@@ -65,6 +65,7 @@ phaseName(Phase phase)
       case Phase::Continuation: return "continuation";
       case Phase::Merge: return "merge";
       case Phase::TraceWrite: return "trace_write";
+      case Phase::PlatformBuild: return "platform_build";
       case Phase::NumPhases: break;
     }
     return "unknown";

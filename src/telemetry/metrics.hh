@@ -87,6 +87,7 @@ enum class Phase : uint32_t {
     Continuation,    ///< per-unit session/continuation execution
     Merge,           ///< canonical aggregate merge
     TraceWrite,      ///< trace buffer merge + file write
+    PlatformBuild,   ///< per-unit XGene2Platform construction
     NumPhases,
 };
 
