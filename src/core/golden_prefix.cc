@@ -5,7 +5,6 @@
 
 #include "core/golden_prefix.hh"
 
-#include "core/checkpoint.hh"
 #include "sim/hash.hh"
 #include "sim/logging.hh"
 
@@ -17,10 +16,9 @@ prefixKeyHash(const PrefixKey &key)
     // Same stream conventions as campaignConfigHash: integers widened
     // to u64, doubles as bit patterns, strings u64-length-prefixed.
     ByteWriter stream;
-    stream.u64(checkpointVersion);
     const mem::MemorySystemConfig &memory = key.platform.memory;
     stream.u64(memory.numCores);
-    stream.u64(memory.lineBytes);
+    stream.u64(sizeof(mem::LineData));
     stream.u64(memory.l1iBytes);
     stream.u64(memory.l1dBytes);
     stream.u64(memory.l1dAssociativity);

@@ -44,9 +44,9 @@ struct PrefixKey {
  * FNV-1a over every field the prefix reads -- the memory hierarchy's
  * geometry, latencies, protection and fast-path setting, the chip and
  * content seeds, the core front-end rates, the workload names and the
- * quantum period -- plus checkpointVersion. Equal hashes mean
- * interchangeable prefixes; the checkpoint envelope carries it as its
- * identity.
+ * quantum period. Equal hashes mean interchangeable prefixes: a worker
+ * keeps its golden image for as long as its campaigns' key hash stays
+ * the one it captured the image under.
  */
 uint64_t prefixKeyHash(const PrefixKey &key);
 
@@ -74,9 +74,9 @@ class GoldenPrefix
     /**
      * Save a completed prefix, or -- on a loading archive, in place of
      * run() -- adopt one saved from a platform built from the same key
-     * (the checkpoint envelope's key hash guards this). Walks the
-     * platform, the workloads' bindings, the activity sum, the golden
-     * store and the timeline.
+     * (a worker compares key hashes before it reuses an image). Walks
+     * the platform, the workloads' bindings, the activity sum, the
+     * golden store and the timeline.
      */
     void visit(Archive &ar, cpu::XGene2Platform &platform,
                const PrefixKey &key);

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <thread>
 
 #include "mem/edac_reporter.hh"
@@ -30,7 +29,7 @@ campaignConfigHash(const CampaignConfig &config)
     ByteWriter stream;
     const mem::MemorySystemConfig &memory = config.platform.memory;
     stream.u64(memory.numCores);
-    stream.u64(memory.lineBytes);
+    stream.u64(sizeof(mem::LineData));
     stream.u64(memory.l1iBytes);
     stream.u64(memory.l1dBytes);
     stream.u64(memory.l1dAssociativity);
@@ -78,24 +77,6 @@ SessionAggregate::add(const SessionResult &session)
     fitTotal.add(fit.total.fit);
     fitSdc.add(fit.sdc.fit);
     upsetsPerMinute.add(session.upsetsPerMinute());
-}
-
-void
-SessionAggregate::merge(const SessionAggregate &other)
-{
-    if (other.replicates == 0)
-        return;
-    if (replicates == 0)
-        point = other.point;
-    replicates += other.replicates;
-    runs += other.runs;
-    fluence += other.fluence;
-    events.merge(other.events);
-    upsetsDetected += other.upsetsDetected;
-    rawUpsetEvents += other.rawUpsetEvents;
-    fitTotal.merge(other.fitTotal);
-    fitSdc.merge(other.fitSdc);
-    upsetsPerMinute.merge(other.upsetsPerMinute);
 }
 
 DcsBreakdown
@@ -225,15 +206,15 @@ ParallelCampaignRunner::executeAll(trace::TraceWriter *trace_writer)
             thread.join();
     };
 
-    // Phase 1: the campaign's one golden prefix, sealed into an
-    // envelope and verified once. The prefix is a function of its key
-    // alone (see core/golden_prefix.hh), and every session shares the
-    // key, so one snapshot serves every unit -- this is what
-    // importance splitting buys: the prefix is paid once per campaign
-    // instead of once per unit.
-    std::optional<Checkpoint> prefix;
+    // Phase 1: the campaign's one golden prefix, captured as an
+    // image. The prefix is a function of its key alone (see
+    // core/golden_prefix.hh), and every session shares the key, so one
+    // image serves every unit -- this is what importance splitting
+    // buys: the prefix is paid once per campaign instead of once per
+    // unit.
+    GoldenImage prefix;
     run_pool(1, [&](size_t) {
-        prefix.emplace(executor.sealPrefix(), executor.prefixKeyHash());
+        prefix = executor.sealPrefix();
         if (run_.progress != nullptr)
             run_.progress->tick();
     });
@@ -244,7 +225,7 @@ ParallelCampaignRunner::executeAll(trace::TraceWriter *trace_writer)
     run_pool(units, [&](size_t unit) {
         outcomes[unit] = executor.runUnit(
             unit % num_sessions,
-            static_cast<unsigned>(unit / num_sessions), *prefix);
+            static_cast<unsigned>(unit / num_sessions), prefix);
         if (run_.progress != nullptr)
             run_.progress->tick();
     });

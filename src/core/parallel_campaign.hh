@@ -21,9 +21,9 @@
  *  - replicate r >= 1 reseeds session s with
  *    deriveStreamSeed(seed, s, r) (see sim/rng.hh), a pure function of
  *    the coordinate -- never of thread identity or completion order;
- *  - merging (event pooling and the Chan-merge Summary accumulators)
- *    always walks replicates then sessions in index order after all
- *    units have finished.
+ *  - merging (event pooling and the Summary accumulators, one add()
+ *    per unit) always walks replicates then sessions in index order
+ *    after all units have finished.
  */
 
 #ifndef XSER_CORE_PARALLEL_CAMPAIGN_HH
@@ -82,9 +82,9 @@ struct ParallelRunConfig {
 uint64_t campaignConfigHash(const CampaignConfig &config);
 
 /**
- * Mergeable per-session aggregate over replicates: pooled counts for
- * exact Poisson estimates plus Chan-merged spread statistics of the
- * per-replicate point estimates.
+ * Per-session aggregate over replicates, folded one unit at a time in
+ * canonical order: pooled counts for exact Poisson estimates plus
+ * Welford spread statistics of the per-replicate point estimates.
  */
 struct SessionAggregate {
     volt::OperatingPoint point;
@@ -102,9 +102,6 @@ struct SessionAggregate {
 
     /** Fold one replicate's session result in. */
     void add(const SessionResult &session);
-
-    /** Chan-merge another aggregate of the same session. */
-    void merge(const SessionAggregate &other);
 
     /** Eq. 1 estimates over the pooled counts. */
     DcsBreakdown pooledDcs(double confidence = 0.95) const;

@@ -10,7 +10,6 @@
 #include "core/golden_prefix.hh"
 #include "core/test_session.hh"
 #include "sim/golden_image.hh"
-#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "telemetry/metrics.hh"
 #include "trace/trace_writer.hh"
@@ -27,7 +26,7 @@ ShardExecutor::ShardExecutor(const CampaignConfig &config,
 {
 }
 
-std::string
+GoldenImage
 ShardExecutor::sealPrefix() const
 {
     cpu::XGene2Platform platform(key_.platform);
@@ -39,10 +38,13 @@ ShardExecutor::sealPrefix() const
     const telemetry::ScopedPhase timer(
         telemetry::Phase::SnapshotEncode);
     const auto walk = [&](Archive &ar) { prefix.visit(ar, platform, key_); };
-    std::string envelope = sealCheckpoint(keyHash_, GoldenImage::save(walk));
+    GoldenImage image = GoldenImage::capture(walk);
+    const uint64_t bytes = image.bytes->size();
+    telemetry::count(telemetry::Counter::CheckpointsSealed);
+    telemetry::count(telemetry::Counter::CheckpointSealedBytes, bytes);
     telemetry::distAdd(telemetry::Dist::CheckpointKilobytes,
-                       static_cast<double>(envelope.size()) / 1024.0);
-    return envelope;
+                       static_cast<double>(bytes) / 1024.0);
+    return image;
 }
 
 SessionConfig
@@ -70,7 +72,7 @@ ShardExecutor::unitConfig(size_t session_index, unsigned replicate_index,
 
 UnitOutcome
 ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
-                       const Checkpoint &prefix) const
+                       const GoldenImage &prefix) const
 {
     telemetry::MetricShard *shard = telemetry::activeShard();
     const uint64_t begin_nanos =
@@ -88,21 +90,16 @@ ShardExecutor::runUnit(size_t session_index, unsigned replicate_index,
                                               buffer.get()));
     GoldenPrefix golden;
 
-    // The checksum was verified once, when this process opened the
-    // envelope it sealed; re-hashing the ~60 MB payload per unit would
-    // cost more than the load itself, so only the O(1) key check runs.
     {
         const telemetry::ScopedPhase timer(
             telemetry::Phase::SnapshotRestore);
-        XSER_ASSERT(prefix.keyHash() == keyHash_,
-                    "checkpoint/campaign prefix key mismatch");
         telemetry::count(telemetry::Counter::CheckpointsOpened);
         telemetry::count(telemetry::Counter::CheckpointOpenedBytes,
-                         prefix.envelopeBytes());
+                         prefix.bytes->size());
         const auto walk = [&](Archive &ar) {
             golden.visit(ar, platform, key_);
         };
-        GoldenImage::load(prefix.envelope(), prefix.payload(), walk);
+        prefix.loadInto(walk);
     }
     UnitOutcome outcome;
     {

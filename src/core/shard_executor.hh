@@ -1,10 +1,11 @@
 /**
  * @file
  * Shard execution as a library call: the single implementation of
- * "seal the campaign's golden prefix" and "run one (session,
- * replicate) unit from it" that both the in-process worker pool
- * (ParallelCampaignRunner) and the distributed campaign service
- * (src/service) drive.
+ * "seal the campaign's golden prefix into an image" and "run one
+ * (session, replicate) unit from it" that both the in-process worker
+ * pool (ParallelCampaignRunner) and the distributed campaign service
+ * (src/service) drive. The image (sim/golden_image.hh) never leaves
+ * the process that captures it, so it carries no header or checksum.
  *
  * Everything here is a pure function of (campaign config, base seed,
  * coordinates): results are bit-identical whether a unit runs on a
@@ -23,7 +24,7 @@
 #include <vector>
 
 #include "core/beam_campaign.hh"
-#include "core/checkpoint.hh"
+#include "sim/golden_image.hh"
 #include "trace/trace_buffer.hh"
 
 namespace xser::core {
@@ -66,12 +67,11 @@ class ShardExecutor
 
     /**
      * Run the campaign's golden prefix on a platform built from its
-     * key alone and seal its golden image into a checkpoint envelope
-     * (core/checkpoint.hh) whose identity is the key hash. Records the
-     * prefix telemetry (CheckpointsSealed, CheckpointKilobytes) on the
-     * caller's active shard.
+     * key alone and capture its golden image. Records the prefix
+     * telemetry (CheckpointsSealed, CheckpointSealedBytes,
+     * CheckpointKilobytes) on the caller's active shard.
      */
-    std::string sealPrefix() const;
+    GoldenImage sealPrefix() const;
 
     /**
      * The session a unit runs: the configured one, reseeded for
@@ -87,8 +87,8 @@ class ShardExecutor
 
     /**
      * Run one (session, replicate) unit on a fresh platform: load the
-     * campaign's golden prefix from `prefix` (sealPrefix()'s envelope,
-     * opened under prefixKeyHash()) and run the continuation from it.
+     * campaign's golden prefix from `prefix` (the image sealPrefix()
+     * captured under this key) and run the continuation from it.
      * A traced unit records into its own buffer and returns it
      * encoded, so no sink is ever shared between units.
      * Records the per-unit telemetry (UnitsCompleted, RunsPerUnit,
@@ -97,7 +97,7 @@ class ShardExecutor
      * unitsExecuted) on the caller's active shard.
      */
     UnitOutcome runUnit(size_t session_index, unsigned replicate_index,
-                        const Checkpoint &prefix) const;
+                        const GoldenImage &prefix) const;
 
   private:
     CampaignConfig config_;

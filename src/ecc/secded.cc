@@ -35,11 +35,10 @@ isCheckPosition(int position)
 }
 
 /**
- * Precomputed tables: data-bit <-> Hamming position mapping and the
+ * Precomputed tables: Hamming position -> data-bit mapping and the
  * per-check-bit data coverage masks.
  */
 struct Tables {
-    std::array<int, 64> dataToPosition{};
     std::array<int, 72> positionToData{};  // -1 for check slots
     std::array<uint64_t, 7> coverMask{};   // data bits check i covers
 
@@ -51,7 +50,6 @@ struct Tables {
         for (int position = 1; position <= 71; ++position) {
             if (isCheckPosition(position))
                 continue;
-            dataToPosition[data_bit] = position;
             positionToData[position] = data_bit;
             for (int i = 0; i < 7; ++i) {
                 if (position & (1 << i))
@@ -89,13 +87,6 @@ overallParity(uint64_t data, uint8_t check)
 }
 
 } // namespace
-
-int
-SecdedCodec::dataPosition(int data_bit)
-{
-    XSER_ASSERT(data_bit >= 0 && data_bit < 64, "data bit out of range");
-    return tables.dataToPosition[data_bit];
-}
 
 uint8_t
 SecdedCodec::encode(uint64_t data)

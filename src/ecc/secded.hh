@@ -67,11 +67,6 @@ class SecdedCodec
      */
     static bool codewordIndexToStorage(int codeword_bit, int &data_bit,
                                        int &check_bit);
-
-  private:
-    /** Hamming position (1-based, power-of-two slots are check bits) of
-     *  the i-th data bit. */
-    static int dataPosition(int data_bit);
 };
 
 } // namespace xser::ecc

@@ -11,23 +11,9 @@
 
 namespace xser::mem {
 
-namespace {
-
-/** config, once its line size is the one LineData holds. */
-const CacheConfig &
-checkedLineBytes(const CacheConfig &config)
-{
-    if (config.lineBytes != sizeof(LineData))
-        fatal(msg("cache '", config.name, "': CacheConfig.lineBytes must be ",
-                  sizeof(LineData), ", got ", config.lineBytes));
-    return config;
-}
-
-} // namespace
-
 Cache::Cache(const CacheConfig &config, EdacReporter *reporter)
-    : config_(checkedLineBytes(config)),
-      geometry_(config.sizeBytes, config.lineBytes, config.associativity),
+    : config_(config),
+      geometry_(config.sizeBytes, sizeof(LineData), config.associativity),
       reporter_(reporter),
       dataArray_(config.name + ".data",
                  geometry_.numLines() * geometry_.wordsPerLine(),

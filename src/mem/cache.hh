@@ -29,11 +29,10 @@ enum class WritePolicy : uint8_t {
     WriteBack,     ///< L2/L3: dirty lines only exist here
 };
 
-/** Static configuration of one cache. */
+/** Static configuration of one cache; lines are 64 bytes (LineData). */
 struct CacheConfig {
     std::string name;           ///< e.g. "l2.0"
     size_t sizeBytes = 0;
-    size_t lineBytes = 64;      ///< must be 64 (lineWords words)
     unsigned associativity = 8;
     Protection protection = Protection::Secded;
     WritePolicy writePolicy = WritePolicy::WriteBack;

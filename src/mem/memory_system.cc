@@ -39,15 +39,11 @@ MemorySystem::MemorySystem(const MemorySystemConfig &config,
     if (config_.numCores == 0 || config_.numCores % 2 != 0)
         fatal(msg("core count must be a positive even number, got ",
                   config_.numCores));
-    if (config_.lineBytes != sizeof(LineData))
-        fatal(msg("MemorySystemConfig.lineBytes must be ", sizeof(LineData),
-                  ", got ", config_.lineBytes));
 
     for (unsigned core = 0; core < config_.numCores; ++core) {
         CacheConfig l1;
         l1.name = msg("l1d.", core);
         l1.sizeBytes = config_.l1dBytes;
-        l1.lineBytes = config_.lineBytes;
         l1.associativity = config_.l1dAssociativity;
         l1.protection = config_.l1Protection;
         l1.writePolicy = WritePolicy::WriteThrough;
@@ -67,7 +63,6 @@ MemorySystem::MemorySystem(const MemorySystemConfig &config,
         CacheConfig l2;
         l2.name = msg("l2.", pair);
         l2.sizeBytes = config_.l2Bytes;
-        l2.lineBytes = config_.lineBytes;
         l2.associativity = config_.l2Associativity;
         l2.protection = config_.l2Protection;
         l2.writePolicy = WritePolicy::WriteBack;
@@ -78,7 +73,6 @@ MemorySystem::MemorySystem(const MemorySystemConfig &config,
     CacheConfig l3;
     l3.name = "l3";
     l3.sizeBytes = config_.l3Bytes;
-    l3.lineBytes = config_.lineBytes;
     l3.associativity = config_.l3Associativity;
     l3.protection = config_.l3Protection;
     l3.writePolicy = WritePolicy::WriteBack;
@@ -179,13 +173,14 @@ MemorySystem::allocate(size_t bytes, const std::string &tag)
     if (bytes == 0)
         fatal(msg("zero-byte allocation for '", tag, "'"));
     const Addr base = heapNext_;
-    heapNext_ = (heapNext_ + bytes + config_.lineBytes - 1) &
-                ~static_cast<Addr>(config_.lineBytes - 1);
+    heapNext_ = (heapNext_ + bytes + sizeof(LineData) - 1) &
+                ~static_cast<Addr>(sizeof(LineData) - 1);
     return base;
 }
 
-// Lines never straddle pages (both are powers of two with lineBytes <=
-// pageBytes), so one page lookup serves a whole line.
+// Lines never straddle pages (both are powers of two with
+// sizeof(LineData) <= pageBytes), so one page lookup serves a whole
+// line.
 
 void
 MemorySystem::dramReadLine(Addr line_addr, LineData &out)

@@ -43,7 +43,6 @@ namespace xser::mem {
 /** Static configuration of the hierarchy (defaults = Table 1). */
 struct MemorySystemConfig {
     unsigned numCores = 8;
-    size_t lineBytes = 64;              ///< must be 64 (LineData)
     size_t l1iBytes = 32 * 1024;        ///< parity, refetchable
     size_t l1dBytes = 32 * 1024;        ///< parity, write-through
     unsigned l1dAssociativity = 4;

@@ -142,7 +142,6 @@ SramArray::emit(trace::EventType type, size_t index, uint32_t bit,
 ReadOutcome
 SramArray::readChecked(size_t index)
 {
-    XSER_ASSERT(index < data_.size(), "SRAM read out of range");
     switch (protection_) {
       case Protection::None: {
         ReadOutcome outcome;

@@ -195,6 +195,7 @@ class SramArray
     ReadOutcome
     read(size_t index)
     {
+        XSER_ASSERT(index < data_.size(), "SRAM read out of range");
         if (fastPath_ && !corrupt_[index]) {
             // Clean word: every codec verdicts Clean on a word matching
             // its truth, delivers the stored data unchanged, and updates

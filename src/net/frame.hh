@@ -13,7 +13,7 @@
  *     bytes 32-    payload
  *
  * Frames cross process and host boundaries, so decoding is paranoid in
- * the core/checkpoint mould: every field is validated before the
+ * the .xtrace reader's mould: every field is validated before the
  * payload is exposed, malformed input yields {ok=false, error} and
  * never a crash, and a size field beyond maxFramePayloadBytes is
  * rejected immediately instead of making the reader wait forever for

@@ -21,7 +21,7 @@
  * build-skewed peer is rejected at handshake instead of corrupting a
  * campaign. Units travel as core::UnitOutcome, and the server finishes
  * a campaign with the same core merge and renderers as a local run.
- * Every decode follows the core/checkpoint posture: a malformed
+ * Every decode follows the .xtrace reader's posture: a malformed
  * payload -- including parameters core::campaignParamsProblem refuses
  * -- yields {false, error}, never a crash.
  */

@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/parallel_campaign.hh"
@@ -181,15 +180,16 @@ class Worker
         result.replicate = assign.replicate;
 
         const uint64_t key = executor.prefixKeyHash();
-        if (!prefix_.has_value() || prefix_->keyHash() != key) {
+        if (prefix_.bytes == nullptr || prefixKey_ != key) {
             // Seal into a dedicated telemetry shard so the server can
             // reproduce the local once-per-campaign prefix accounting
             // (it keeps the first blob per campaign).
             telemetry::MetricShard prefix_shard;
             {
                 const telemetry::ShardScope scope(&prefix_shard);
-                prefix_.emplace(executor.sealPrefix(), key);
+                prefix_ = executor.sealPrefix();
             }
+            prefixKey_ = key;
             prefixTelemetry_ = encode(prefix_shard);
         }
         if (!campaign.prefixTelemetrySent) {
@@ -201,7 +201,7 @@ class Worker
         {
             const telemetry::ShardScope scope(&shard_telemetry);
             result.unit = executor.runUnit(assign.session,
-                                           assign.replicate, *prefix_);
+                                           assign.replicate, prefix_);
         }
         result.shardTelemetry = encode(shard_telemetry);
         send(FrameType::ShardResult, encode(result));
@@ -212,8 +212,9 @@ class Worker
     net::FrameReader reader_;
     std::string outbox_;
     std::map<uint64_t, std::unique_ptr<WorkerCampaign>> campaigns_;
-    /** The worker's one golden prefix, and its seal's telemetry. */
-    std::optional<core::Checkpoint> prefix_;
+    /** The worker's one golden prefix, its key hash and telemetry. */
+    GoldenImage prefix_;
+    uint64_t prefixKey_ = 0;
     std::string prefixTelemetry_;
     unsigned assignmentsSeen_ = 0;
 };

@@ -8,9 +8,10 @@
  * The worker is single-threaded: it polls the connection while idle
  * (heartbeating so the server's idle timeout never fires) and computes
  * synchronously while assigned -- the server knows not to expect
- * liveness from a busy worker. It holds one sealed and verified golden
- * prefix, reused across campaigns while their prefix key matches and
- * resealed when it does not, mirroring the local runner's phase 1.
+ * liveness from a busy worker. It holds one golden prefix image and
+ * the key hash it was captured under, reused across campaigns while
+ * their prefix key hash matches and resealed when it does not,
+ * mirroring the local runner's phase 1.
  */
 
 #ifndef XSER_SERVICE_WORKER_HH

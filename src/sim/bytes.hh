@@ -4,10 +4,10 @@
  * the Archive that lets a class name its fields once for both
  * directions.
  *
- * Every byte format xser persists or transmits is built from these
- * primitives: checkpoint payloads and envelopes (core/checkpoint.hh),
- * net frames (net/frame.hh), service messages (service/protocol.hh),
- * .xtrace files (trace/trace_writer.hh), and the campaign config hash.
+ * Every byte format xser keeps or transmits is built from these
+ * primitives: golden images (sim/golden_image.hh), net frames
+ * (net/frame.hh), service messages (service/protocol.hh), .xtrace files
+ * (trace/trace_writer.hh), and the campaign config hash.
  *
  *  - fixed-width little-endian u8 / u32 / u64;
  *  - f64 as its IEEE-754 bit pattern (a bit-exact round trip);
@@ -15,7 +15,7 @@
  *  - byte strings behind a u32, u64, or varint length prefix;
  *  - u64-counted word and byte vectors -- the word path is one memcpy
  *    on little-endian hosts, because it carries the multi-megabyte
- *    cache and DRAM arrays of every checkpoint;
+ *    cache and DRAM arrays of every golden image;
  *  - the same u64-counted words left in place (WordView): a load may
  *    borrow them from an input whose owner it shares
  *    (Archive::borrowWords) instead of copying them.
@@ -29,9 +29,9 @@
  * varint, or a length prefix beyond the remaining bytes poisons it:
  * ok() goes false and every later read yields zero or empty. What a
  * poisoned reader means is the caller's decision -- the protocol and
- * trace decoders report a clean error, while a checkpoint restore
- * (whose envelope is checksummed, so bad bytes there are a logic bug)
- * is fatal.
+ * trace decoders report a clean error, while a golden-image load (of
+ * an image the same process captured, so bad bytes there are a logic
+ * bug) is fatal.
  */
 
 #ifndef XSER_SIM_BYTES_HH
@@ -51,9 +51,9 @@ namespace xser {
 /**
  * u64 words left in their stream encoding (little-endian, at any
  * alignment) inside bytes the view does not own. Words sit at any
- * offset of a stream (a campaign image's DRAM pages sit behind the
- * 36-byte envelope header), so they are decoded through memcpy, never
- * read through a uint64_t pointer.
+ * offset of a stream (a golden image's DRAM pages follow fields of
+ * every width), so they are decoded through memcpy, never read through
+ * a uint64_t pointer.
  */
 class WordView
 {

@@ -10,14 +10,17 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "sim/bytes.hh"
 #include "sim/logging.hh"
 
 namespace xser {
 
-/** A campaign's golden prefix, or `xser avf`'s post-golden-run state. */
+/**
+ * A campaign's golden prefix, or `xser avf`'s post-golden-run state.
+ * Neither leaves the process that captures it, so the image is the
+ * walk's bytes alone, with no header or checksum around them.
+ */
 struct GoldenImage {
     /** The state's visit() chain, for either archive direction. */
     using Walk = std::function<void(Archive &)>;
@@ -28,8 +31,7 @@ struct GoldenImage {
     /**
      * Save `walk` into one buffer, reserved past the largest state and
      * glibc's 32 MiB mmap ceiling so it never regrows through heap
-     * chunks whose freed copies stay resident. The bytes are the
-     * caller's to wrap (the campaign seals them into an envelope).
+     * chunks whose freed copies stay resident.
      */
     static std::string
     save(const Walk &walk)
@@ -49,25 +51,21 @@ struct GoldenImage {
     }
 
     /**
-     * Load `image` (all of `*owner`, or the envelope payload inside it)
-     * in place through `walk`. The loaded state may borrow the image's
-     * words (Archive::borrowWords), keeping a share of `owner` while it
-     * does. Fatal unless the walk consumes exactly the image: an image
-     * is this process's own or was checksummed.
+     * Load the image in place through `walk`. The loaded state may
+     * borrow the image's words (Archive::borrowWords), keeping a share
+     * of `bytes` while it does. Fatal unless the walk consumes exactly
+     * the image.
      */
-    static void
-    load(std::shared_ptr<const std::string> owner, std::string_view image,
-         const Walk &walk)
+    void
+    loadInto(const Walk &walk) const
     {
-        ByteReader reader(image);
-        Archive archive(reader, std::move(owner));
+        ByteReader reader(*bytes);
+        Archive archive(reader, bytes);
         walk(archive);
         if (!reader.atEnd())
             fatal(reader.ok() ? "golden image not fully consumed by load"
                               : "golden image underran during load");
     }
-
-    void loadInto(const Walk &walk) const { load(bytes, *bytes, walk); }
 };
 
 } // namespace xser

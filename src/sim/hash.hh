@@ -1,13 +1,13 @@
 /**
  * @file
  * FNV-1a-64: the one byte hash behind every checksum and fingerprint in
- * xser -- checkpoint and frame payload checksums, the campaign config
- * hash, RNG tag derivation, and workload output signatures.
+ * xser -- net frame payload checksums, the campaign config and prefix
+ * key hashes, RNG tag derivation, and workload output signatures.
  *
- * The constants are part of several persisted formats (XSERCKPT and
- * XSERNETF checksums, .xtrace config hashes, checkpointed signatures),
- * so they live here once and nowhere else in src/ (xser-lint's
- * codec-confinement rule enforces it).
+ * The constants are part of persisted and transmitted formats (XSERNETF
+ * checksums, .xtrace config hashes) and of every workload signature a
+ * golden run records, so they live here once and nowhere else in src/
+ * (xser-lint's codec-confinement rule enforces it).
  */
 
 #ifndef XSER_SIM_HASH_HH

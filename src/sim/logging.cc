@@ -43,6 +43,14 @@ panic(const std::string &message)
 }
 
 void
+assertFailed(const char *condition, const char *file, int line,
+             std::string_view message) noexcept
+{
+    panic(msg("assertion failed: ", condition, " at ", file, ":", line, ": ",
+              message));
+}
+
+void
 warn(const std::string &message)
 {
     Logger::global().emit(LogLevel::Warn, "warn", message);

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace xser {
 
@@ -96,14 +97,20 @@ msg(Args &&...args)
     return os.str();
 }
 
+/**
+ * XSER_ASSERT's failure path: panic naming the condition, its location
+ * and `message`. Out of line, so the code an assert guards carries one
+ * call instead of the panic message's formatting, and an assert in a
+ * hot inline function does not stop the compiler from inlining it.
+ */
+[[noreturn]] void assertFailed(const char *condition, const char *file,
+                               int line, std::string_view message) noexcept;
+
 /** Assert an internal invariant; panics with location info on failure. */
 #define XSER_ASSERT(cond, message)                                          \
     do {                                                                    \
-        if (!(cond)) {                                                      \
-            ::xser::panic(::xser::msg("assertion failed: ", #cond, " at ",  \
-                                      __FILE__, ":", __LINE__, ": ",        \
-                                      message));                            \
-        }                                                                   \
+        if (!(cond))                                                        \
+            ::xser::assertFailed(#cond, __FILE__, __LINE__, message);       \
     } while (0)
 
 } // namespace xser

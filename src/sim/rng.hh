@@ -76,9 +76,6 @@ class Rng
         return result;
     }
 
-    /** Uniform 32-bit value. */
-    uint32_t nextU32() { return static_cast<uint32_t>(nextU64() >> 32); }
-
     /** Uniform double in [0, 1). */
     double
     nextDouble()

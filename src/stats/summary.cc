@@ -1,6 +1,6 @@
 /**
  * @file
- * Summary implementation (Welford / Chan merge).
+ * Summary implementation (Welford's streaming update).
  */
 
 #include "stats/summary.hh"
@@ -19,25 +19,6 @@ Summary::add(double value)
     m2_ += delta * (value - mean_);
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
-}
-
-void
-Summary::merge(const Summary &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double total = static_cast<double>(count_ + other.count_);
-    const double delta = other.mean_ - mean_;
-    m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                           static_cast<double>(other.count_) / total;
-    mean_ += delta * static_cast<double>(other.count_) / total;
-    count_ += other.count_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
 }
 
 double
@@ -60,12 +41,6 @@ Summary::stderrMean() const
     if (count_ == 0)
         return 0.0;
     return stddev() / std::sqrt(static_cast<double>(count_));
-}
-
-double
-Summary::ciHalfWidth(double z) const
-{
-    return z * stderrMean();
 }
 
 } // namespace xser

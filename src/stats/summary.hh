@@ -21,9 +21,6 @@ class Summary
     /** Add one observation. */
     void add(double value);
 
-    /** Merge another accumulator (parallel-friendly Chan merge). */
-    void merge(const Summary &other);
-
     /** Number of observations. */
     uint64_t count() const { return count_; }
 
@@ -47,12 +44,6 @@ class Summary
 
     /** Sum of all observations. */
     double sum() const { return mean_ * static_cast<double>(count_); }
-
-    /**
-     * Half-width of the normal-approximation confidence interval on the
-     * mean at the given z value (default 1.96 for 95 %).
-     */
-    double ciHalfWidth(double z = 1.96) const;
 
     /** Reset to empty. */
     void clear() { *this = Summary(); }

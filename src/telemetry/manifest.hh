@@ -23,8 +23,8 @@
  *
  * The reader is deliberately strict and total: any truncated or
  * corrupted document yields `ok = false` with a positioned error, and
- * never a crash -- the same paranoid-decode posture as the checkpoint
- * envelope and the .xtrace reader.
+ * never a crash -- the same paranoid-decode posture as the net frame
+ * decoder and the .xtrace reader.
  */
 
 #ifndef XSER_TELEMETRY_MANIFEST_HH

@@ -75,7 +75,7 @@ namespace {
 
 /**
  * Fixed shape per distribution; overflow buckets catch the tails.
- * Sealed envelopes are ~61,000 KB at any scale (the prefix is a dense
+ * Prefix images are ~61,000 KB at any scale (the prefix is a dense
  * dump of the hierarchy), so CheckpointKilobytes bins in 2 MiB steps.
  */
 Histogram

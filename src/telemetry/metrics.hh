@@ -19,6 +19,10 @@
  * When no shard is installed (telemetry off -- the default) every
  * recording call is a null-check and nothing else, so the instrumented
  * hot paths stay within bench_gates' telemetry overhead gate.
+ *
+ * The checkpoint counters and the snapshot phases count and time the
+ * campaign's golden prefix image (sim/golden_image.hh): its capture
+ * once per campaign or worker key, and its load once per unit.
  */
 
 #ifndef XSER_TELEMETRY_METRICS_HH
@@ -36,10 +40,10 @@ namespace xser::telemetry {
 /** Deterministic event counters (values independent of --jobs). */
 enum class Counter : uint32_t {
     UnitsCompleted,        ///< (session, replicate) units finished
-    CheckpointsSealed,     ///< golden prefixes sealed into envelopes
-    CheckpointSealedBytes, ///< total sealed envelope bytes
-    CheckpointsOpened,     ///< units restored from an envelope
-    CheckpointOpenedBytes, ///< envelope bytes restored, one per unit
+    CheckpointsSealed,     ///< golden prefix images captured
+    CheckpointSealedBytes, ///< total captured image bytes
+    CheckpointsOpened,     ///< units restored from an image
+    CheckpointOpenedBytes, ///< image bytes restored, one per unit
     DramPagesCopied,       ///< borrowed DRAM pages copied on first write
     EdacCorrected,         ///< CE posts through EdacReporter
     EdacUncorrected,       ///< UE posts through EdacReporter
@@ -63,7 +67,7 @@ const char *counterName(Counter counter);
 enum class Dist : uint32_t {
     RunsPerUnit,         ///< workload runs per (session, replicate)
     ErrorEventsPerUnit,  ///< error events per (session, replicate)
-    CheckpointKilobytes, ///< sealed envelope size per prefix key
+    CheckpointKilobytes, ///< captured image size per prefix key
     UnitSeconds,         ///< wall-clock seconds per unit (timing)
     NumDists,
 };
@@ -82,8 +86,8 @@ bool distIsTiming(Dist dist);
 /** Campaign phases timed by ScopedPhase. */
 enum class Phase : uint32_t {
     Prefix,          ///< golden prefix execution
-    SnapshotEncode,  ///< snapshot serialization + envelope seal
-    SnapshotRestore, ///< envelope validation + snapshot restore
+    SnapshotEncode,  ///< golden prefix image capture
+    SnapshotRestore, ///< golden prefix image load, once per unit
     Continuation,    ///< per-unit session/continuation execution
     Merge,           ///< canonical aggregate merge
     TraceWrite,      ///< trace buffer merge + file write

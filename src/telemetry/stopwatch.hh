@@ -31,14 +31,11 @@ class Stopwatch
   public:
     Stopwatch() : start_(monotonicNanos()) {}
 
-    /** Seconds since construction or the last restart(). */
+    /** Seconds since construction. */
     double seconds() const
     {
         return static_cast<double>(monotonicNanos() - start_) * 1e-9;
     }
-
-    /** Reset the interval origin to now. */
-    void restart() { start_ = monotonicNanos(); }
 
   private:
     uint64_t start_;

@@ -46,8 +46,6 @@ class TraceBuffer final : public TraceSink
     /** Events discarded after the buffer filled. */
     uint64_t dropped() const { return dropped_; }
 
-    uint64_t maxEvents() const { return maxEvents_; }
-
     /** Unit coordinates, stamped by whoever owns the buffer. */
     TraceUnitInfo info;
 

@@ -9,7 +9,6 @@
 #include <cmath>
 
 #include "sim/logging.hh"
-#include "sim/rng.hh"
 
 namespace xser::volt {
 
@@ -94,13 +93,6 @@ TimingModel::runFailureProbability(double vdd_volts,
     const double cliff = cliffVolts(frequency_hz);
     const double sigma = sigmaVolts(frequency_hz);
     return normalCdf((cliff - vdd_volts) / sigma);
-}
-
-double
-TimingModel::sampleThresholdVolts(double frequency_hz, Rng &rng) const
-{
-    return rng.nextGaussian(cliffVolts(frequency_hz),
-                            sigmaVolts(frequency_hz));
 }
 
 } // namespace xser::volt

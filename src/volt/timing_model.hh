@@ -25,10 +25,6 @@
 #ifndef XSER_VOLT_TIMING_MODEL_HH
 #define XSER_VOLT_TIMING_MODEL_HH
 
-namespace xser {
-class Rng;
-} // namespace xser
-
 namespace xser::volt {
 
 /** Calibration constants of the cliff model. */
@@ -94,12 +90,6 @@ class TimingModel
      */
     double runFailureProbability(double vdd_volts,
                                  double frequency_hz) const;
-
-    /**
-     * Sample one run's failure threshold voltage (the run fails iff the
-     * supply is below the sampled threshold).
-     */
-    double sampleThresholdVolts(double frequency_hz, Rng &rng) const;
 
   private:
     TimingModelConfig config_;

@@ -1,11 +1,11 @@
 /**
  * @file
- * Checkpoint/fork engine tests: envelope validation (paranoid-decode
- * style, like the .xtrace reader's), the snapshot -> restore ->
- * re-snapshot fixed-point property, fork-vs-straight-run equivalence
- * for a single session, and the campaign-level gate -- the pool's
- * forked units must equal every unit run straight through, byte for
- * byte in aggregates and trace bytes, for any worker count.
+ * Checkpoint/fork engine tests: the snapshot -> restore -> re-snapshot
+ * fixed-point property, fork-vs-straight-run equivalence for a single
+ * session, the golden image's borrowed DRAM pages, and the
+ * campaign-level gate -- the pool's forked units must equal every unit
+ * run straight through, byte for byte in aggregates and trace bytes,
+ * for any worker count.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/beam_campaign.hh"
-#include "core/checkpoint.hh"
 #include "core/golden_prefix.hh"
 #include "core/parallel_campaign.hh"
 #include "core/shard_executor.hh"
@@ -133,72 +132,6 @@ forkFrom(const GoldenImage &image, const SessionConfig &session)
     return TestSession(&platform, session).runContinuation(std::move(prefix));
 }
 
-TEST(CheckpointEnvelope, SealOpenRoundTrip)
-{
-    const std::string payload("\xde\xad\xbe\xef\x00\x42", 6);
-    const std::string blob = sealCheckpoint(0x1234abcdULL, payload);
-    const CheckpointView view = openCheckpoint(blob);
-    ASSERT_TRUE(view.ok) << view.error;
-    EXPECT_EQ(view.keyHash, 0x1234abcdULL);
-    EXPECT_EQ(view.payload, payload);
-}
-
-TEST(CheckpointEnvelope, EmptyPayloadRoundTrips)
-{
-    const std::string blob = sealCheckpoint(7, {});
-    const CheckpointView view = openCheckpoint(blob);
-    ASSERT_TRUE(view.ok) << view.error;
-    EXPECT_TRUE(view.payload.empty());
-}
-
-TEST(CheckpointEnvelope, RejectsTruncationAtEveryLength)
-{
-    const std::string blob =
-        sealCheckpoint(0xabcdULL, {1, 2, 3, 4, 5, 6, 7, 8});
-    for (size_t cut = 0; cut < blob.size(); ++cut) {
-        const CheckpointView view = openCheckpoint(blob.substr(0, cut));
-        EXPECT_FALSE(view.ok) << "accepted a " << cut << "-byte prefix";
-        EXPECT_FALSE(view.error.empty());
-    }
-}
-
-TEST(CheckpointEnvelope, NoCorruptedByteSlipsThrough)
-{
-    // Every single-byte flip is either rejected outright (magic,
-    // version, sizes, payload -- the checksum covers the payload) or
-    // surfaces as a changed identity field (the prefix key hash) that
-    // the caller's cross-check refuses. Nothing decodes silently to
-    // the original identity with different content.
-    const std::string blob = sealCheckpoint(0xabcdULL, {9, 8, 7, 6, 5});
-    for (size_t i = 0; i < blob.size(); ++i) {
-        std::string corrupted = blob;
-        corrupted[i] = static_cast<char>(corrupted[i] ^ 0x20);
-        const CheckpointView view = openCheckpoint(corrupted);
-        if (!view.ok)
-            continue;
-        EXPECT_NE(view.keyHash, 0xabcdULL)
-            << "flip in byte " << i
-            << " decoded to the original identity";
-    }
-}
-
-TEST(CheckpointEnvelope, RejectsTrailingGarbage)
-{
-    std::string blob = sealCheckpoint(1, {1, 2, 3});
-    blob.push_back('\xff');
-    const CheckpointView view = openCheckpoint(blob);
-    EXPECT_FALSE(view.ok);
-}
-
-TEST(CheckpointEnvelope, RejectsWrongVersion)
-{
-    std::string blob = sealCheckpoint(1, {1, 2, 3});
-    blob[8] = static_cast<char>(checkpointVersion + 1);
-    const CheckpointView view = openCheckpoint(blob);
-    EXPECT_FALSE(view.ok);
-    EXPECT_NE(view.error.find("version"), std::string::npos);
-}
-
 TEST(CheckpointRoundTrip, RestoreIsASnapshotFixedPoint)
 {
     // save(load(save(prefix))) == save(prefix), byte for byte: the
@@ -257,50 +190,19 @@ twoTinySessions()
     return config;
 }
 
-TEST(CheckpointPrefixDeath, OpenOnceRefusesACorruptedEnvelope)
-{
-    // Units trust the Checkpoint they restore from, so its one-time
-    // check is the only one: a flipped payload byte must stop the
-    // process.
-    const ShardExecutor executor(twoTinySessions(), 0x5e5510ULL, 0);
-    std::string envelope = executor.sealPrefix();
-    envelope[envelope.size() / 2] ^= 0x01;
-    EXPECT_EXIT(Checkpoint(std::move(envelope), executor.prefixKeyHash()),
-                ::testing::ExitedWithCode(1),
-                "refusing checkpoint: checkpoint payload checksum "
-                "mismatch");
-}
-
-TEST(CheckpointPrefixDeath, OpenRefusesAnotherKeysEnvelope)
-{
-    // The fast-path setting is part of the key (raw images differ
-    // between modes), so an envelope sealed with it on must not serve
-    // a session that runs with it off.
-    CampaignConfig reference = twoTinySessions();
-    setFastPath(reference, false);
-    const ShardExecutor sealer(twoTinySessions(), 0x5e5510ULL, 0);
-    const ShardExecutor opener(reference, 0x5e5510ULL, 0);
-    ASSERT_NE(sealer.prefixKeyHash(), opener.prefixKeyHash());
-    EXPECT_EXIT(Checkpoint(sealer.sealPrefix(), opener.prefixKeyHash()),
-                ::testing::ExitedWithCode(1),
-                "refusing checkpoint: prefix key hash");
-}
-
 TEST(CheckpointPrefixDeath, APayloadThatDoesNotLoadExactlyIsFatal)
 {
-    // A payload sealed with a byte too many or too few passes the
-    // checksum; the unit's load must refuse it either way.
+    // Every unit's load must consume exactly the image it is handed:
+    // a byte too many or too few is fatal either way.
     const ShardExecutor executor(twoTinySessions(), 0x5e5510ULL, 0);
-    const uint64_t key = executor.prefixKeyHash();
-    const std::string payload(openCheckpoint(executor.sealPrefix()).payload);
-    {
-        const Checkpoint trailing(sealCheckpoint(key, payload + '\0'), key);
-        EXPECT_EXIT(executor.runUnit(0, 0, trailing),
-                    ::testing::ExitedWithCode(1),
-                    "golden image not fully consumed by load");
-    }
-    const Checkpoint truncated(
-        sealCheckpoint(key, payload.substr(0, payload.size() - 1)), key);
+    std::string bytes = *executor.sealPrefix().bytes;
+    bytes.push_back('\0');
+    const GoldenImage trailing{std::make_shared<std::string>(bytes)};
+    bytes.resize(bytes.size() - 2);
+    const GoldenImage truncated{std::make_shared<std::string>(bytes)};
+    EXPECT_EXIT(executor.runUnit(0, 0, trailing),
+                ::testing::ExitedWithCode(1),
+                "golden image not fully consumed by load");
     EXPECT_EXIT(executor.runUnit(0, 0, truncated),
                 ::testing::ExitedWithCode(1),
                 "golden image underran during load");
@@ -342,10 +244,10 @@ counterOf(const telemetry::MetricShard &shard, telemetry::Counter which)
 
 TEST(CheckpointTelemetry, OpenedCountersCountOneRestorePerUnit)
 {
-    // Each envelope is verified once, but every unit restores from
-    // one: the opened counters stay per unit, so a local pool (one
-    // open per campaign) and a worker (one per key it seals) report
-    // the same manifest. One envelope serves all six units.
+    // One image serves all six units, and every unit's restore counts
+    // its bytes: the opened counters stay per unit, so a local pool
+    // (one seal per campaign) and a worker (one per key it seals)
+    // report the same manifest.
     const telemetry::MetricShard merged =
         pooledCounters(twoTinySessions(), 3);
     using telemetry::Counter;

@@ -116,6 +116,17 @@ TEST(SramArray, ParityEscapeIsSilentCorruption)
     EXPECT_EQ(array.counters().silentEscapes, 1u);
 }
 
+TEST(SramArrayDeath, AReadPastTheEndPanicsOnEitherPath)
+{
+    // One word past the end, with the clean-read short-circuit on and
+    // with every read through the codec.
+    SramArray array("test", 16, Protection::Secded);
+    ASSERT_TRUE(array.fastPath());
+    EXPECT_DEATH(array.read(16), "SRAM read out of range");
+    array.setFastPath(false);
+    EXPECT_DEATH(array.read(16), "SRAM read out of range");
+}
+
 TEST(SramArray, OverwriteClearsFlipAndCounts)
 {
     SramArray array("test", 8, Protection::Parity);
@@ -320,7 +331,6 @@ smallCacheConfig()
     CacheConfig config;
     config.name = "test.l2";
     config.sizeBytes = 8 * 1024;
-    config.lineBytes = 64;
     config.associativity = 2;
     config.protection = Protection::Secded;
     config.writePolicy = WritePolicy::WriteBack;
@@ -397,18 +407,23 @@ TEST(Cache, FlipInLineCorrectedOnReadAndReported)
 {
     EdacReporter reporter;
     Cache cache(smallCacheConfig(), &reporter);
-    cache.allocate(0x1000, filledLine(0xaa), false);
-    cache.dataArray().flipBit(cache.geometry().wordsPerLine() *
-                              0 /* depends on set/way */,
-                              3);
-    // Whichever slot it landed in, scrub the whole cache via readLine
-    // of the allocated address: the flip may or may not be in this
-    // line, so instead verify via scrubbing all lines below.
-    uint64_t corrected = 0;
-    for (size_t index = 0; index < cache.geometry().numLines(); ++index)
-        cache.scrubLine(index);
-    corrected = reporter.tally(CacheLevel::L2).corrected;
-    EXPECT_GE(corrected, 0u);  // no crash; reporting path exercised
+    const Addr addr = 0x1000;
+    cache.allocate(addr, filledLine(0xaa), false);
+    // Word 3 of the allocated line: lines sit in the data array slot by
+    // slot, set-major.
+    const size_t set = cache.geometry().setIndex(addr);
+    const auto way = static_cast<size_t>(cache.findWay(addr));
+    const size_t slot = set * cache.config().associativity + way;
+    const size_t word = slot * lineWords + 3;
+    ASSERT_EQ(cache.dataArray().peek(word), 0xaau);
+    cache.dataArray().flipBit(word, 5);  // a data bit
+    ASSERT_EQ(cache.dataArray().corruptWords(), 1u);
+
+    LineData line;
+    EXPECT_FALSE(cache.readLine(addr, line));
+    EXPECT_EQ(line, filledLine(0xaa));
+    EXPECT_EQ(reporter.tally(CacheLevel::L2).corrected, 1u);
+    EXPECT_EQ(cache.dataArray().corruptWords(), 0u);
 }
 
 TEST(Cache, DrainAllWritesBackDirtyLines)
@@ -554,7 +569,7 @@ runOwnerMix(bool fast_path, OwnerMixRun &out)
         if (rng.nextBool(0.02))
             memory.scrub(16, 64);
         for (Addr line = base; line < base + words * 8;
-             line += config.lineBytes) {
+             line += sizeof(LineData)) {
             ASSERT_LE(static_cast<int>(memory.l2(0).contains(line)) +
                           static_cast<int>(memory.l2(1).contains(line)),
                       1)
@@ -879,22 +894,6 @@ TEST(MemorySystem, UninitializedMemoryReadsZero)
     MemorySystem memory(tinyConfig(), &reporter);
     const Addr addr = memory.allocate(4096, "t");
     EXPECT_EQ(memory.readWord(1, addr + 2048), 0u);
-}
-
-TEST(LineSizeDeath, OnlySixtyFourByteLinesAreBuilt)
-{
-    // Fills and evictions move fixed 8-word LineData values.
-    EdacReporter reporter;
-    CacheConfig cache_config = smallCacheConfig();
-    cache_config.lineBytes = 128;
-    EXPECT_EXIT(Cache(cache_config, &reporter),
-                ::testing::ExitedWithCode(1),
-                "cache 'test.l2': CacheConfig.lineBytes must be 64, got 128");
-    MemorySystemConfig config = tinyConfig();
-    config.lineBytes = 32;
-    EXPECT_EXIT(MemorySystem(config, &reporter),
-                ::testing::ExitedWithCode(1),
-                "MemorySystemConfig.lineBytes must be 64, got 32");
 }
 
 /** Protection-scheme sweep over SramArray write/read round trips. */

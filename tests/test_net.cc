@@ -3,7 +3,7 @@
  * Protocol robustness tests for the net frame codec and the service
  * message layer (DESIGN.md section 12).
  *
- * The posture under test is the core/checkpoint one: any malformed
+ * The posture under test is the .xtrace reader's: any malformed
  * byte stream -- truncations, bit flips, garbage, hostile size fields
  * -- must yield a clean, descriptive error, never a crash, hang, or
  * silent misparse. The sweeps below exercise every prefix length and

@@ -272,43 +272,5 @@ TEST(ParallelRunner, ExecuteReturnsReplicateZeroOnly)
                                 sweep.replicates[0]);
 }
 
-TEST(SessionAggregateMerge, ChanMergeMatchesSequentialCounts)
-{
-    // merge() must pool counts exactly and keep the Summary moments
-    // consistent with the observation count.
-    SessionResult a;
-    a.point = volt::vminPoint();
-    a.runs = 10;
-    a.fluence = 1e9;
-    a.events.sdcSilent = 3;
-    a.upsetsDetected = 40;
-    SessionResult b = a;
-    b.runs = 20;
-    b.fluence = 3e9;
-    b.events.sdcSilent = 5;
-    b.upsetsDetected = 70;
-
-    SessionAggregate sequential;
-    sequential.add(a);
-    sequential.add(b);
-
-    SessionAggregate left;
-    left.add(a);
-    SessionAggregate right;
-    right.add(b);
-    left.merge(right);
-
-    EXPECT_EQ(left.replicates, sequential.replicates);
-    EXPECT_EQ(left.runs, sequential.runs);
-    EXPECT_EQ(left.fluence, sequential.fluence);
-    EXPECT_EQ(left.events.sdcSilent, sequential.events.sdcSilent);
-    EXPECT_EQ(left.upsetsDetected, sequential.upsetsDetected);
-    EXPECT_EQ(left.fitTotal.count(), sequential.fitTotal.count());
-    EXPECT_DOUBLE_EQ(left.fitTotal.mean(), sequential.fitTotal.mean());
-    EXPECT_NEAR(left.fitTotal.variance(),
-                sequential.fitTotal.variance(),
-                1e-9 * (1.0 + sequential.fitTotal.variance()));
-}
-
 } // namespace
 } // namespace xser::core

@@ -1,9 +1,9 @@
 /**
  * @file
  * Byte pins: FNV-1a-64 digests of every persisted or transmitted byte
- * format -- service messages, net frames, checkpoint envelopes, .xtrace
- * sections, the campaign config hash, a memory-hierarchy snapshot, and
- * the dense truth columns of SRAM arrays.
+ * format -- service messages, net frames, .xtrace sections, the
+ * campaign config hash, a memory-hierarchy snapshot, and the dense
+ * truth columns of SRAM arrays.
  *
  * The digests are fixed constants. A refactor of any encoder must leave
  * them unchanged; a deliberate format change bumps the format's version
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/beam_campaign.hh"
-#include "core/checkpoint.hh"
 #include "core/parallel_campaign.hh"
 #include "ecc/secded.hh"
 #include "mem/memory_system.hh"
@@ -99,15 +98,6 @@ TEST(BytePins, NetFrame)
 {
     EXPECT_EQ(digest(net::encodeFrame(7, "the quick brown payload")),
               0x9d3bb131e867b1d4ULL);
-}
-
-TEST(BytePins, CheckpointEnvelope)
-{
-    const std::vector<uint8_t> payload = {0xde, 0xad, 0xbe,
-                                          0xef, 0x00, 0x42};
-    EXPECT_EQ(digest(core::sealCheckpoint(0x1234abcdULL,
-                                          {payload.begin(), payload.end()})),
-              0xc4f40c2ab63e3c16ULL);
 }
 
 TEST(BytePins, TraceHeaderAndUnit)

@@ -349,14 +349,13 @@ TEST(GoldenImageDeath, ALoadMustConsumeExactlyTheImage)
 {
     Sample state{42, 7, true, -2.5, "cg", {1, 2, 3}};
     const auto walk = [&state](Archive &ar) { state.visit(ar); };
-    const auto padded =
-        std::make_shared<const std::string>(GoldenImage::save(walk) + '\0');
-    EXPECT_EXIT(GoldenImage::load(padded, *padded, walk),
-                ::testing::ExitedWithCode(1),
+    std::string bytes = GoldenImage::save(walk) + '\0';
+    const GoldenImage padded{std::make_shared<std::string>(bytes)};
+    bytes.resize(bytes.size() - 2);
+    const GoldenImage truncated{std::make_shared<std::string>(bytes)};
+    EXPECT_EXIT(padded.loadInto(walk), ::testing::ExitedWithCode(1),
                 "golden image not fully consumed by load");
-    const std::string_view truncated(padded->data(), padded->size() - 2);
-    EXPECT_EXIT(GoldenImage::load(padded, truncated, walk),
-                ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(truncated.loadInto(walk), ::testing::ExitedWithCode(1),
                 "golden image underran during load");
 }
 

@@ -40,36 +40,6 @@ TEST(Summary, EmptyIsSafe)
     EXPECT_EQ(summary.stderrMean(), 0.0);
 }
 
-TEST(Summary, MergeMatchesCombined)
-{
-    Summary left;
-    Summary right;
-    Summary all;
-    for (int i = 0; i < 100; ++i) {
-        const double value = std::sin(i * 0.7) * 10.0;
-        (i < 40 ? left : right).add(value);
-        all.add(value);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(left.min(), all.min());
-    EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmpty)
-{
-    Summary summary;
-    summary.add(3.0);
-    Summary empty;
-    summary.merge(empty);
-    EXPECT_EQ(summary.count(), 1u);
-    empty.merge(summary);
-    EXPECT_EQ(empty.count(), 1u);
-    EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
-}
-
 /* ------------------------ Incomplete gamma ----------------------- */
 
 TEST(Gamma, KnownValues)
